@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError
 from .manifest import CohortManifest, ScanRecord, save_manifest
 from .ovf import write_ovf
 from .rng import SplitMix64, derive
-from .volumes import LogitVolume, MaskVolume, Volume3D
+from .volumes import Grid
 
 # Fixed logit geometry: tumor logit is +GAIN inside blobs and -GAIN outside,
 # the background channel stays near zero, both carry NOISE_STD jitter.
@@ -83,36 +83,6 @@ class CohortSpec:
             raise ConfigError(f"bad cohort spec: {exc}") from exc
 
 
-def hu_window_normalize(volume: Volume3D, lo: float, hi: float) -> Volume3D:
-    """Clip intensities to [lo, hi] and map the window affinely onto [0, 1]."""
-    if lo >= hi:
-        raise ValueError(f"window lo must be < hi, got [{lo}, {hi}]")
-    data = np.clip(volume.data.astype(np.float64), lo, hi)
-    data = (data - lo) / (hi - lo)
-    return Volume3D(dims=volume.dims, spacing=volume.spacing, data=data.astype(np.float32))
-
-
-def sliding_window_origins(dims, window, overlap_fraction: float) -> list[tuple[int, int, int]]:
-    """Lexicographically ordered window origins covering the full grid.
-
-    Per-axis stride is floor(window * (1 - overlap)), floored at 1; the last
-    origin is clamped so the window fits, without duplicates.
-    """
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
-    axes = []
-    for d, w in zip(dims, window):
-        if w > d:
-            raise ValueError(f"window {tuple(window)} larger than dims {tuple(dims)}")
-        stride = max(1, math.floor(w * (1.0 - overlap_fraction)))
-        last = d - w
-        origins = list(range(0, last + 1, stride))
-        if origins[-1] != last:
-            origins.append(last)
-        axes.append(origins)
-    return [(z, y, x) for z in axes[0] for y in axes[1] for x in axes[2]]
-
-
 def _paint_ellipsoid(mask: np.ndarray, center, radii) -> None:
     # Bounding box only; membership test ||(p - c) / r||_2 <= 1 on lattice points.
     lo = [max(0, math.floor(c - r)) for c, r in zip(center, radii)]
@@ -126,7 +96,7 @@ def _paint_ellipsoid(mask: np.ndarray, center, radii) -> None:
     mask[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] |= inside
 
 
-def generate_scan(spec: CohortSpec, index: int) -> tuple[Volume3D, MaskVolume, LogitVolume]:
+def generate_scan(spec: CohortSpec, index: int) -> tuple[Grid, Grid, Grid]:
     """Produce the (volume, mask, logits) triple for scan ``index``.
 
     Draw order from the per-scan stream (seed = derive(spec.seed, "scan", i)):
@@ -163,18 +133,8 @@ def generate_scan(spec: CohortSpec, index: int) -> tuple[Volume3D, MaskVolume, L
         tumor_logit = tumor_logit + spec.logit_miscalibration * mask
     background_logit = LOGIT_NOISE_STD * logit_noise_bg
 
-    vol = Volume3D(dims=dims, spacing=spec.spacing, data=volume.astype(np.float32))
-    msk = MaskVolume(dims=dims, spacing=spec.spacing, data=mask.astype(np.uint8))
-    logits = LogitVolume(
-        dims=dims,
-        spacing=spec.spacing,
-        data=np.stack([background_logit, tumor_logit]).astype(np.float32),
-    )
-    return vol, msk, logits
-
-
-def scan_ids(spec: CohortSpec) -> list[str]:
-    return [f"{spec.cohort_name}_{i:04d}" for i in range(spec.n_scans)]
+    logits = np.stack([background_logit, tumor_logit])
+    return Grid(volume, spec.spacing), Grid(mask, spec.spacing), Grid(logits, spec.spacing)
 
 
 def make_cohort(specs: list[CohortSpec], out_dir, map_fn=map) -> CohortManifest:

@@ -7,7 +7,8 @@ map plus tanh; every subsequent stage halves the grid with a 2^3 average
 pool and applies its own seeded channel map plus tanh. The multi-scale,
 locally mixing structure the downstream classifier consumes is preserved
 while the computation stays dependency-free, and real encoder exports can
-replace the output because only the FeaturePyramid interface is shared.
+replace the output because only the FeaturePyramid interface is shared:
+five channel-major ``Grid`` stages plus their downsampling factors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import SplitMix64, derive
-from .volumes import STAGE_IDS, FeaturePyramid, PyramidStage, Volume3D
+from .volumes import FeaturePyramid, Grid
 
 
 @dataclass(frozen=True)
@@ -84,36 +85,24 @@ def stage_weights(cfg: ToyEncoderConfig, stage_index: int, fan_in: int) -> tuple
     return w, b
 
 
-def toy_encode(volume: Volume3D, cfg: ToyEncoderConfig) -> FeaturePyramid:
+def toy_encode(volume: Grid, cfg: ToyEncoderConfig) -> FeaturePyramid:
     if any(d % cfg.patch_size != 0 for d in volume.dims):
         raise ValueError(
             f"patch_size {cfg.patch_size} must divide volume dims {volume.dims}"
         )
 
-    stages: list[PyramidStage] = []
-    pooled = avg_pool3(volume.data.astype(np.float64), cfg.patch_size)
-    w, b = stage_weights(cfg, 0, fan_in=1)
-    current = np.tanh(w[:, 0, None, None, None] * pooled[None, :, :, :] + b[:, None, None, None])
-    factor = cfg.patch_size
-    stages.append(_stage(volume, "PE", factor, current))
+    factors = tuple(cfg.patch_size * 2 ** s for s in range(5))
+    stages = []
+    for s, factor in enumerate(factors):
+        if s == 0:
+            pooled = avg_pool3(volume.data.astype(np.float64), cfg.patch_size)
+            w, b = stage_weights(cfg, 0, fan_in=1)
+            current = np.tanh(w[:, 0, None, None, None] * pooled[None, :, :, :]
+                              + b[:, None, None, None])
+        else:
+            pooled = avg_pool3(current, 2)
+            w, b = stage_weights(cfg, s, fan_in=current.shape[0])
+            current = np.tanh(np.einsum("oi,izyx->ozyx", w, pooled) + b[:, None, None, None])
+        stages.append(Grid(current, tuple(sp * factor for sp in volume.spacing)))
 
-    for s in range(1, 5):
-        pooled = avg_pool3(current, 2)
-        w, b = stage_weights(cfg, s, fan_in=current.shape[0])
-        current = np.tanh(np.einsum("oi,izyx->ozyx", w, pooled) + b[:, None, None, None])
-        factor *= 2
-        stages.append(_stage(volume, STAGE_IDS[s], factor, current))
-
-    return FeaturePyramid(volume_dims=volume.dims, stages=tuple(stages))
-
-
-def _stage(volume: Volume3D, stage_id: str, factor: int, data: np.ndarray) -> PyramidStage:
-    spacing = tuple(s * factor for s in volume.spacing)
-    return PyramidStage(
-        stage_id=stage_id,
-        factor=factor,
-        channels=data.shape[0],
-        dims=data.shape[1:],
-        spacing=spacing,
-        data=data.astype(np.float32),
-    )
+    return FeaturePyramid(volume_dims=volume.dims, stages=tuple(stages), factors=factors)

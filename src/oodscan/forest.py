@@ -99,14 +99,6 @@ def sample_weight_vector(labels: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(labels) == 1, w1, w0)
 
 
-def weighted_gini(w0: float, w1: float) -> float:
-    """Gini impurity of a node with class weight sums (w0, w1)."""
-    if w0 < 0 or w1 < 0 or (w0 == 0 and w1 == 0):
-        raise ValueError("class weight sums must be non-negative and not both zero")
-    total = w0 + w1
-    return 1.0 - ((w0 / total) ** 2 + (w1 / total) ** 2)
-
-
 def _impurity(w0: float, w1: float) -> float:
     # cover-weighted Gini: W * gini = W - (w0^2 + w1^2) / W
     total = w0 + w1

@@ -11,16 +11,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError
-from .ovf import as_logits, as_stage, read_ovf, validate_ovf
-from .volumes import (
-    STAGE_IDS,
-    ChannelGrid,
-    FeaturePyramid,
-    LogitVolume,
-    MaskVolume,
-    Volume3D,
-)
+from .ovf import read_ovf, validate_ovf
+from .volumes import STAGE_IDS, FeaturePyramid, Grid
 
 COHORT_LABELS = ("ID", "OOD")
 
@@ -55,12 +50,6 @@ class CohortManifest:
 
     def by_cohort(self, cohort_name: str) -> list[ScanRecord]:
         return [r for r in self.records if r.cohort_name == cohort_name]
-
-    def record(self, scan_id: str) -> ScanRecord:
-        for rec in self.records:
-            if rec.scan_id == scan_id:
-                return rec
-        raise DataError(f"scan_id {scan_id!r} not in manifest")
 
 
 def load_manifest(path, validate: bool = True) -> CohortManifest:
@@ -160,38 +149,50 @@ def save_manifest(manifest: CohortManifest, path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_volume(rec: ScanRecord) -> Volume3D:
+def load_volume(rec: ScanRecord) -> Grid:
     vol = read_ovf(rec.volume)
-    if not isinstance(vol, Volume3D):
+    if vol.data.ndim != 3 or vol.data.dtype != np.float32:
         raise DataError(f"scan {rec.scan_id!r}: {rec.volume} is not a scalar volume")
     return vol
 
 
-def load_mask(rec: ScanRecord) -> MaskVolume:
+def load_mask(rec: ScanRecord) -> Grid:
     mask = read_ovf(rec.mask)
-    if not isinstance(mask, MaskVolume):
+    if mask.data.dtype != np.uint8:
         raise DataError(f"scan {rec.scan_id!r}: {rec.mask} is not a mask")
     return mask
 
 
-def load_logits(rec: ScanRecord) -> LogitVolume:
-    grid = read_ovf(rec.logits)
-    if not isinstance(grid, ChannelGrid):
-        raise DataError(f"scan {rec.scan_id!r}: {rec.logits} is not a channel tensor")
-    return as_logits(grid, rec.logits)
+def load_logits(rec: ScanRecord) -> Grid:
+    logits = read_ovf(rec.logits)
+    if logits.data.ndim != 4 or logits.channels != 2:
+        raise DataError(f"scan {rec.scan_id!r}: {rec.logits} is not a 2-channel logit tensor")
+    return logits
 
 
 def load_pyramid(rec: ScanRecord, volume_spacing) -> FeaturePyramid:
+    """Reassemble a scan's pyramid from its stage files.
+
+    Each stage's downsample factor is the (rounded) ratio of its stored
+    spacing to the companion volume spacing.
+    """
     if rec.pyramid is None:
         raise DataError(f"scan {rec.scan_id!r}: no pyramid in manifest (run encode first)")
-    stages = []
-    for stage_id, p in zip(STAGE_IDS, rec.pyramid):
+    stages, factors = [], []
+    for p in rec.pyramid:
         grid = read_ovf(p)
-        if not isinstance(grid, ChannelGrid):
-            raise DataError(f"scan {rec.scan_id!r}: {p} is not a channel tensor")
-        stages.append(as_stage(grid, stage_id, volume_spacing, p))
+        ratios = [g / b for g, b in zip(grid.spacing, volume_spacing)]
+        factor = int(round(ratios[0]))
+        if factor < 1 or any(abs(r - factor) > 0.01 * factor for r in ratios):
+            raise DataError(f"scan {rec.scan_id!r}: {p}: stage spacing {grid.spacing} is not "
+                            f"an integer multiple of volume spacing {tuple(volume_spacing)}")
+        stages.append(grid)
+        factors.append(factor)
     # Reconstruct a volume grid consistent with every stage. ceil(ceil(d/p)*p
     # / f) == ceil(d/f) for the factor ladder, so PE carries enough information.
-    pe = stages[0]
-    volume_dims = tuple(d * pe.factor for d in pe.dims)
-    return FeaturePyramid(volume_dims=volume_dims, stages=tuple(stages))
+    volume_dims = tuple(d * factors[0] for d in stages[0].dims)
+    try:
+        return FeaturePyramid(volume_dims=volume_dims, stages=tuple(stages),
+                              factors=tuple(factors))
+    except ValueError as exc:
+        raise DataError(f"scan {rec.scan_id!r}: {exc}") from exc

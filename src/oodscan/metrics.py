@@ -28,17 +28,9 @@ def _check(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        # ranks are 1-based; a tie block gets the average of its ranks
-        ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
-    return ranks
+    # ranks are 1-based; a tie block gets the average of its ranks
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
 
 def auroc(labels, scores) -> float:
@@ -74,32 +66,3 @@ def fpr_at_tpr(labels, scores, target_tpr: float = 0.95) -> float:
         # unreachable for target <= 1: the lowest threshold marks everything OOD
         return 1.0
     return float(qualifying.min())
-
-
-def roc_curve(labels, scores) -> list[tuple[float, float]]:
-    """(FPR, TPR) points at descending distinct thresholds, with (0, 0)
-    prepended and (1, 1) appended; trapezoidal area equals auroc."""
-    labels, scores = _check(labels, scores)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels == 1)
-    fp = np.cumsum(sorted_labels == 0)
-    last_of_block = np.flatnonzero(
-        np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    )
-    points = [(0.0, 0.0)]
-    for i in last_of_block:
-        points.append((fp[i] / n_neg, tp[i] / n_pos))
-    points.append((1.0, 1.0))
-    return points
-
-
-def trapezoid_area(points: list[tuple[float, float]]) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area

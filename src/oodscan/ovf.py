@@ -11,7 +11,8 @@ Layout (all little-endian):
     next         payload, row-major, last axis fastest
 
 Payload length must equal the product of dims times the scalar size
-exactly; trailing or missing bytes fail the read.
+exactly; trailing or missing bytes fail the read. Files load as ``Grid``:
+the dtype code and the dims are those of its array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .volumes import ChannelGrid, LogitVolume, MaskVolume, PyramidStage, Volume3D
+from .volumes import Grid
 
 MAGIC = b"OVF1\x00\x00\x00\x00"
 DTYPE_F32 = 1
@@ -38,35 +39,23 @@ def _header_bytes(dtype_code: int, dims: tuple[int, ...], spacing) -> bytes:
     return b"".join(parts)
 
 
-def write_ovf(tensor, path) -> None:
-    """Serialize a Volume3D, MaskVolume, LogitVolume, ChannelGrid or
-    PyramidStage to ``path``. Rejects non-finite float payloads."""
-    if isinstance(tensor, Volume3D):
-        dtype_code, dims, spacing, data = DTYPE_F32, tensor.dims, tensor.spacing, tensor.data
-    elif isinstance(tensor, MaskVolume):
-        dtype_code, dims, spacing, data = DTYPE_U8, tensor.dims, tensor.spacing, tensor.data
-    elif isinstance(tensor, LogitVolume):
-        dtype_code = DTYPE_F32
-        dims, spacing, data = (2,) + tensor.dims, tensor.spacing, tensor.data
-    elif isinstance(tensor, (ChannelGrid, PyramidStage)):
-        dtype_code = DTYPE_F32
-        dims, spacing, data = (tensor.channels,) + tensor.dims, tensor.spacing, tensor.data
-    else:
-        raise TypeError(f"write_ovf() cannot serialize {type(tensor)!r}")
-
+def write_ovf(grid: Grid, path) -> None:
+    """Serialize a Grid to ``path``. Rejects non-finite float payloads."""
+    data = grid.data
+    dtype_code = DTYPE_U8 if data.dtype == np.uint8 else DTYPE_F32
     if dtype_code == DTYPE_F32 and not np.all(np.isfinite(data)):
         raise DataError("non-finite payload")
 
     payload = np.ascontiguousarray(data, dtype=_DTYPE_NP[dtype_code]).tobytes(order="C")
     try:
         with open(path, "wb") as fh:
-            fh.write(_header_bytes(dtype_code, dims, spacing))
+            fh.write(_header_bytes(dtype_code, data.shape, grid.spacing))
             fh.write(payload)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse(raw: bytes, path) -> tuple[int, tuple[int, ...], tuple[float, ...], np.ndarray]:
+def _parse(raw: bytes, path) -> tuple[tuple[float, ...], np.ndarray]:
     if len(raw) < 14 or raw[:8] != MAGIC:
         raise DataError(f"{path}: bad magic")
     dtype_code, ndim = raw[8], raw[9]
@@ -94,28 +83,18 @@ def _parse(raw: bytes, path) -> tuple[int, tuple[int, ...], tuple[float, ...], n
             f"found {len(raw) - offset})"
         )
     data = np.frombuffer(raw[offset:], dtype=np_dtype).reshape(dims)
-    return dtype_code, dims, spacing, data
+    return spacing, data
 
 
-def read_ovf(path):
-    """Read an OVF file back into its domain type.
-
-    (u8, ndim 3) -> MaskVolume; (f32, ndim 3) -> Volume3D;
-    (f32, ndim 4) -> ChannelGrid. Other combinations are rejected.
-    """
+def read_ovf(path) -> Grid:
+    """Read an OVF file back into a Grid; u8 payloads must be 3-D masks."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    dtype_code, dims, spacing, data = _parse(raw, path)
+    spacing, data = _parse(raw, path)
     try:
-        if len(dims) == 4:
-            if dtype_code != DTYPE_F32:
-                raise DataError(f"{path}: 4-D tensors must be float32")
-            return ChannelGrid(channels=dims[0], dims=dims[1:], spacing=spacing, data=data)
-        if dtype_code == DTYPE_U8:
-            return MaskVolume(dims=dims, spacing=spacing, data=data)
-        return Volume3D(dims=dims, spacing=spacing, data=data)
+        return Grid(data, spacing)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -123,27 +102,3 @@ def read_ovf(path):
 def validate_ovf(path) -> None:
     """Cheap structural check: header parses and payload length matches."""
     read_ovf(path)
-
-
-def as_logits(grid: ChannelGrid, path="<memory>") -> LogitVolume:
-    if grid.channels != 2:
-        raise DataError(f"{path}: logit tensor must have 2 channels, found {grid.channels}")
-    return LogitVolume(dims=grid.dims, spacing=grid.spacing, data=grid.data)
-
-
-def as_stage(grid: ChannelGrid, stage_id: str, base_spacing, path="<memory>") -> PyramidStage:
-    """Rebuild a pyramid stage from a stored grid; the downsample factor is
-    the (rounded) ratio of stored spacing to the companion volume spacing."""
-    ratios = [g / b for g, b in zip(grid.spacing, base_spacing)]
-    factor = int(round(ratios[0]))
-    if factor < 1 or any(abs(r - factor) > 0.01 * factor for r in ratios):
-        raise DataError(f"{path}: stage spacing {grid.spacing} is not an integer "
-                        f"multiple of volume spacing {tuple(base_spacing)}")
-    return PyramidStage(
-        stage_id=stage_id,
-        factor=factor,
-        channels=grid.channels,
-        dims=grid.dims,
-        spacing=grid.spacing,
-        data=grid.data,
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .regions import EMPTY_MASK_FEATURE, FeatureVector
-from .volumes import MaskVolume, Volume3D
+from .volumes import Grid
 
 FIRST_ORDER_NAMES = (
     "fo_mean",
@@ -99,7 +99,7 @@ def _surface_area(mask: np.ndarray, spacing) -> float:
     return total
 
 
-def _shape(mask: MaskVolume) -> list[float]:
+def _shape(mask: Grid) -> list[float]:
     coords = np.argwhere(mask.data > 0)
     n = len(coords)
     spacing = mask.spacing
@@ -117,7 +117,7 @@ def _shape(mask: MaskVolume) -> list[float]:
             offsets[0], offsets[1], offsets[2]]
 
 
-def radiomics_lite(volume: Volume3D, mask: MaskVolume, scan_id: str = "") -> FeatureVector:
+def radiomics_lite(volume: Grid, mask: Grid, scan_id: str = "") -> FeatureVector:
     """First-order + shape features over masked voxels of a [0, 1] volume.
 
     An empty mask yields all-zero features with the empty-mask flag set.

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .rng import SplitMix64, derive
-from .volumes import FeaturePyramid, MaskVolume
+from .volumes import STAGE_IDS, FeaturePyramid, Grid
 
 # Appended to every feature vector: 1.0 when the (crop-restricted) mask was
 # empty and whole-region statistics were used instead. An empty prediction is
@@ -62,7 +62,7 @@ class FeatureVector:
         object.__setattr__(self, "names", tuple(self.names))
 
 
-def connected_components(mask: MaskVolume) -> list[np.ndarray]:
+def connected_components(mask: Grid) -> list[np.ndarray]:
     """26-connectivity foreground components as (n_i, 3) voxel index arrays.
 
     Sorted by size descending; ties broken by the smallest (z, y, x) voxel
@@ -77,7 +77,7 @@ def connected_components(mask: MaskVolume) -> list[np.ndarray]:
     return comps
 
 
-def largest_component_centroid(mask: MaskVolume) -> tuple[float, float, float] | None:
+def largest_component_centroid(mask: Grid) -> tuple[float, float, float] | None:
     comps = connected_components(mask)
     if not comps:
         return None
@@ -85,7 +85,7 @@ def largest_component_centroid(mask: MaskVolume) -> tuple[float, float, float] |
 
 
 def tumor_crops(
-    mask: MaskVolume,
+    mask: Grid,
     k: int = 8,
     crop_size: tuple[int, int, int] = (16, 16, 16),
     jitter_radius: int = 2,
@@ -127,7 +127,7 @@ def tumor_crops(
     return crops
 
 
-def downsample_mask_to_stage(mask: MaskVolume, factor: int) -> np.ndarray:
+def downsample_mask_to_stage(mask: Grid, factor: int) -> np.ndarray:
     """Any-coverage (max-pool) reduction onto a ceil(dims/factor) grid."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -156,17 +156,17 @@ def masked_mean(stage_data: np.ndarray, stage_mask: np.ndarray) -> tuple[np.ndar
 def deep_feature_names(pyramid: FeaturePyramid) -> tuple[list[str], dict]:
     names: list[str] = []
     slices: dict = {}
-    for stage in pyramid.stages:
+    for stage_id, stage in zip(STAGE_IDS, pyramid.stages):
         start = len(names)
-        names.extend(f"{stage.stage_id}_{c:03d}" for c in range(stage.channels))
-        slices[stage.stage_id] = (start, len(names))
+        names.extend(f"{stage_id}_{c:03d}" for c in range(stage.channels))
+        slices[stage_id] = (start, len(names))
     names.append(EMPTY_MASK_FEATURE)
     return names, slices
 
 
 def deep_feature_vector(
     pyramid: FeaturePyramid,
-    mask: MaskVolume,
+    mask: Grid,
     crops: list[CropBox],
     scan_id: str = "",
 ) -> list[FeatureVector]:
@@ -184,12 +184,11 @@ def deep_feature_vector(
             raise ValueError(f"crop {crop} exceeds volume dims {mask.dims}")
         cropped = np.zeros(mask.dims, dtype=np.uint8)
         cropped[crop.slices()] = mask.data[crop.slices()]
-        cropped_mask = MaskVolume(dims=mask.dims, data=cropped, spacing=mask.spacing)
+        cropped_mask = Grid(cropped, mask.spacing)
 
         parts = []
         fallback = False
-        for stage in pyramid.stages:
-            f = stage.factor
+        for stage, f in zip(pyramid.stages, pyramid.factors):
             lo = [o // f for o in crop.origin]
             hi = [
                 min(-(-(o + s) // f), g)

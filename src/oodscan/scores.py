@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .volumes import LogitVolume, MaskVolume
+from .volumes import Grid
 
 METHODS = ("maxsoftmax", "maxlogit", "energy", "entropy")
 FALLBACK_TOP_VOXELS = 100
@@ -91,15 +91,15 @@ def voxel_scores(logits: tuple[float, float], cfg: ScoreConfig) -> float:
     return float(_voxel_scores(l0, l1, cfg)[0])
 
 
-def scan_score(logits: LogitVolume, mask: MaskVolume, cfg: ScoreConfig,
+def scan_score(logits: Grid, mask: Grid, cfg: ScoreConfig,
                scan_id: str = "") -> OodScore:
     """Region-aggregated OOD score for one scan.
 
     The mean over masked voxels uses exact (fsum) summation so that any
     chunked or parallel evaluation order yields the identical value.
     """
-    if logits.dims != mask.dims:
-        raise ValueError(f"logit dims {logits.dims} != mask dims {mask.dims}")
+    if logits.data.shape != (2,) + mask.dims:
+        raise ValueError(f"logit shape {logits.data.shape} != (2,)+mask dims {mask.dims}")
     l0 = logits.data[0].reshape(-1).astype(np.float64)
     l1 = logits.data[1].reshape(-1).astype(np.float64)
     sel = mask.data.reshape(-1).astype(bool)

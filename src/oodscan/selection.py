@@ -1,18 +1,16 @@
-"""Feature selection and interpretability rankings for the forest.
+"""Feature selection for the forest.
 
 Recursive feature elimination refits the forest on the surviving features
 and drops the lowest mean-decrease-in-impurity block each round, protecting
-the classifier from correlated-feature dilution. Permutation importance is
-the AUROC drop when one column is shuffled, averaged over seeded repeats.
+the classifier from correlated-feature dilution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forest import Forest, RFParams, fit_forest, mdi_importance, predict_proba_batch
-from .metrics import auroc
-from .rng import SplitMix64, derive
+from .forest import RFParams, fit_forest, mdi_importance
+from .rng import derive
 
 
 def rfe(X: np.ndarray, y: np.ndarray, params: RFParams, target_count: int,
@@ -46,24 +44,3 @@ def rfe(X: np.ndarray, y: np.ndarray, params: RFParams, target_count: int,
         remaining = [j for j in remaining if j not in dropped]
         rounds += 1
     return np.array(remaining, dtype=np.int64)
-
-
-def permutation_importance(forest: Forest, X: np.ndarray, y: np.ndarray,
-                           n_repeats: int = 5, seed: int = 0) -> np.ndarray:
-    """Per-feature AUROC drop under seeded column permutations."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    baseline = auroc(y, predict_proba_batch(forest, X)[:, 1])
-    out = np.zeros(forest.n_features)
-    n = X.shape[0]
-    for j in range(forest.n_features):
-        drops = []
-        for r in range(n_repeats):
-            rng = SplitMix64(derive(seed, "perm", j, r))
-            perm = list(range(n))
-            rng.shuffle(perm)
-            Xp = X.copy()
-            Xp[:, j] = X[perm, j]
-            drops.append(baseline - auroc(y, predict_proba_batch(forest, Xp)[:, 1]))
-        out[j] = float(np.mean(drops))
-    return out

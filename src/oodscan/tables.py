@@ -30,19 +30,6 @@ class FeatureTable:
     crop_indices: tuple[int, ...]
     values: np.ndarray  # (rows, features)
 
-    def rows_for(self, scan_id: str) -> np.ndarray:
-        sel = [i for i, s in enumerate(self.scan_ids) if s == scan_id]
-        if not sel:
-            raise DataError(f"feature table has no rows for scan {scan_id!r}")
-        return self.values[sel]
-
-    def scan_order(self) -> list[str]:
-        seen: list[str] = []
-        for s in self.scan_ids:
-            if not seen or seen[-1] != s:
-                seen.append(s)
-        return seen
-
     def select_columns(self, keep: list[int]) -> "FeatureTable":
         return FeatureTable(
             kind=self.kind,

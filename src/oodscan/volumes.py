@@ -1,13 +1,17 @@
-"""Dense 3-D tensor types shared by the whole pipeline.
+"""Dense 3-D tensors shared by the whole pipeline.
 
-Axis order is fixed to (z, y, x) with x fastest everywhere; channel tensors
-put the channel axis first. Instances are treated as immutable after
-construction and are safe to share between threads.
+One validated type, ``Grid``, carries every tensor: volumes, masks, logits
+and encoder stages. Axis order is fixed to (z, y, x) with x fastest
+everywhere; channel tensors put the channel axis first. The dtype decides
+the kind, as the OVF dtype byte does: bool or uint8 data is a 3-D mask of
+0/1 values, anything else becomes finite float32 of shape (z, y, x) or
+(C, z, y, x). Instances are treated as immutable after construction and are
+safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,167 +21,81 @@ Dims = tuple[int, int, int]
 Spacing = tuple[float, float, float]
 
 
-def _check_dims(dims) -> Dims:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d <= 0 for d in dims):
-        raise ValueError(f"dims must be 3 positive integers, got {dims}")
-    return dims
-
-
-def _check_spacing(spacing) -> Spacing:
-    spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
-    return spacing
-
-
 @dataclass(frozen=True)
-class Volume3D:
-    """Scalar intensity grid with physical voxel spacing (mm)."""
+class Grid:
+    """A mask, scalar volume or channel-major tensor with physical cell
+    spacing (mm per cell along z, y, x)."""
 
-    dims: Dims
-    spacing: Spacing
-    data: np.ndarray  # float32, shape dims, C order
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.shape != self.dims:
-            raise ValueError(f"data shape {data.shape} != dims {self.dims}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("volume data contains non-finite values")
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
-class MaskVolume:
-    """Binary segmentation mask; dims and spacing match its companion volume."""
-
-    dims: Dims
-    data: np.ndarray  # uint8 in {0, 1}, shape dims
+    data: np.ndarray
     spacing: Spacing = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-        data = np.ascontiguousarray(self.data, dtype=np.uint8)
-        if data.shape != self.dims:
-            raise ValueError(f"mask shape {data.shape} != dims {self.dims}")
-        if data.max(initial=0) > 1:
-            raise ValueError("mask values must be 0 or 1")
-        object.__setattr__(self, "data", data)
-
-    def voxel_count(self) -> int:
-        return int(self.data.sum())
-
-
-@dataclass(frozen=True)
-class LogitVolume:
-    """Two-channel per-voxel logits, channel-major: (background, tumor)."""
-
-    dims: Dims
-    data: np.ndarray  # float32, shape (2,) + dims
-    spacing: Spacing = (1.0, 1.0, 1.0)
-    channels: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-        if self.channels != 2:
-            raise ValueError("logit volumes carry exactly 2 channels")
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.shape != (2,) + self.dims:
-            raise ValueError(f"logit shape {data.shape} != (2,)+{self.dims}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("logit data contains non-finite values")
-        object.__setattr__(self, "data", data)
-
-    def background(self) -> np.ndarray:
-        return self.data[0]
-
-    def tumor(self) -> np.ndarray:
-        return self.data[1]
-
-
-@dataclass(frozen=True)
-class ChannelGrid:
-    """Generic channel-major 4-D tensor as stored on disk (C, z, y, x)."""
-
-    channels: int
-    dims: Dims
-    spacing: Spacing
-    data: np.ndarray  # float32
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-        if self.channels <= 0:
-            raise ValueError("channel count must be positive")
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.shape != (self.channels,) + self.dims:
-            raise ValueError(f"grid shape {data.shape} != ({self.channels},)+{self.dims}")
-        if not np.all(np.isfinite(data)):
+        spacing = tuple(float(s) for s in self.spacing)
+        if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
+            raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
+        data = np.asarray(self.data)
+        if data.dtype in (np.bool_, np.uint8):
+            data = np.ascontiguousarray(data, dtype=np.uint8)
+            if data.ndim != 3:
+                raise ValueError(f"mask must be 3-D, got shape {data.shape}")
+        else:
+            data = np.ascontiguousarray(data, dtype=np.float32)
+            if data.ndim not in (3, 4):
+                raise ValueError(f"grid must be 3-D or 4-D, got shape {data.shape}")
+        if 0 in data.shape:
+            raise ValueError(f"grid shape {data.shape} has a zero-length axis")
+        if data.dtype == np.uint8:
+            if data.max() > 1:
+                raise ValueError("mask values must be 0 or 1")
+        elif not np.all(np.isfinite(data)):
             raise ValueError("grid data contains non-finite values")
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "data", data)
 
+    @property
+    def dims(self) -> Dims:
+        return self.data.shape[-3:]
 
-@dataclass(frozen=True)
-class PyramidStage:
-    """One encoder stage: feature grid plus its downsampling factor.
-
-    ``spacing`` is the physical cell size (volume spacing x factor); the
-    on-disk format stores spacing rather than the factor, which is recovered
-    from the spacing ratio when a pyramid is reassembled from files.
-    """
-
-    stage_id: str
-    factor: int
-    channels: int
-    dims: Dims
-    spacing: Spacing
-    data: np.ndarray  # float32, shape (channels,) + dims
-
-    def __post_init__(self):
-        if self.stage_id not in STAGE_IDS:
-            raise ValueError(f"unknown stage id {self.stage_id!r}")
-        if self.factor < 1:
-            raise ValueError("downsample factor must be >= 1")
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing))
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.shape != (self.channels,) + self.dims:
-            raise ValueError(f"stage shape {data.shape} != ({self.channels},)+{self.dims}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("stage data contains non-finite values")
-        object.__setattr__(self, "data", data)
+    @property
+    def channels(self) -> int:
+        return self.data.shape[0] if self.data.ndim == 4 else 1
 
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Ordered 5-stage feature hierarchy (PE, SB1..SB4) for one scan."""
+    """Ordered 5-stage feature hierarchy for one scan.
+
+    Stage i is ``STAGE_IDS[i]``; ``factors[i]`` is its downsampling factor
+    and its spacing is the volume spacing times that factor. The on-disk
+    format stores spacing rather than the factor, which is recovered from
+    the spacing ratio when a pyramid is reassembled from files.
+    """
 
     volume_dims: Dims
-    stages: tuple[PyramidStage, ...] = field(default_factory=tuple)
+    stages: tuple[Grid, ...]
+    factors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "volume_dims", _check_dims(self.volume_dims))
-        stages = tuple(self.stages)
-        if tuple(s.stage_id for s in stages) != STAGE_IDS:
+        volume_dims = tuple(int(d) for d in self.volume_dims)
+        if len(volume_dims) != 3 or any(d <= 0 for d in volume_dims):
+            raise ValueError(f"volume dims must be 3 positive integers, got {volume_dims}")
+        stages, factors = tuple(self.stages), tuple(int(f) for f in self.factors)
+        if len(stages) != len(STAGE_IDS) or len(factors) != len(STAGE_IDS):
             raise ValueError("pyramid must hold exactly the stages PE,SB1,SB2,SB3,SB4 in order")
-        factors = [s.factor for s in stages]
-        if any(b <= a for a, b in zip(factors, factors[1:])):
-            raise ValueError("downsample factors must strictly increase")
-        widths = [s.channels for s in stages]
-        if any(b < a for a, b in zip(widths, widths[1:])):
-            raise ValueError("channel counts must be non-decreasing")
-        for s in stages:
-            expect = tuple(-(-d // s.factor) for d in self.volume_dims)  # ceil division
+        for i, (stage_id, s, f) in enumerate(zip(STAGE_IDS, stages, factors)):
+            if s.data.ndim != 4:
+                raise ValueError(f"stage {stage_id} must be a channel-major (C, z, y, x) grid")
+            if f <= (factors[i - 1] if i else 0):
+                raise ValueError(f"stage {stage_id} factor {f} must be >= 1 and exceed "
+                                 "the previous stage's (factors strictly increase)")
+            if i and s.channels < stages[i - 1].channels:
+                raise ValueError(f"stage {stage_id} has fewer channels than the previous "
+                                 "stage (channel counts are non-decreasing)")
+            expect = tuple(-(-d // f) for d in volume_dims)  # ceil division
             if s.dims != expect:
                 raise ValueError(
-                    f"stage {s.stage_id} grid {s.dims} != ceil(volume dims / {s.factor}) = {expect}"
+                    f"stage {stage_id} grid {s.dims} != ceil(volume dims / {f}) = {expect}"
                 )
+        object.__setattr__(self, "volume_dims", volume_dims)
         object.__setattr__(self, "stages", stages)
-
-    def stage(self, stage_id: str) -> PyramidStage:
-        return self.stages[STAGE_IDS.index(stage_id)]
+        object.__setattr__(self, "factors", factors)

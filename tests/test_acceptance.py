@@ -30,7 +30,7 @@ from oodscan.ovf import read_ovf, write_ovf
 from oodscan.rng import SplitMix64, derive
 from oodscan.scores import ScoreConfig, voxel_scores, voxel_softmax
 from oodscan.treeshap import tree_shap
-from oodscan.volumes import LogitVolume, MaskVolume, PyramidStage, Volume3D
+from oodscan.volumes import Grid
 
 from oracles import (
     brute_force_shapley,
@@ -330,19 +330,16 @@ def test_criterion_09_round_trips(tmp_path):
         dims = tuple(int(v) for v in rng.integers(1, 7, 3))
         kind = case % 4
         if kind == 0:
-            t = Volume3D(dims=dims, spacing=tuple(rng.uniform(0.3, 3.0, 3)),
-                         data=rng.normal(size=dims).astype(np.float32))
+            # spacing is drawn before data, as the rng order requires
+            t = Grid(spacing=tuple(rng.uniform(0.3, 3.0, 3)),
+                     data=rng.normal(size=dims).astype(np.float32))
         elif kind == 1:
-            t = MaskVolume(dims=dims,
-                           data=rng.integers(0, 2, dims).astype(np.uint8))
+            t = Grid(rng.integers(0, 2, dims).astype(np.uint8))
         elif kind == 2:
-            t = LogitVolume(dims=dims,
-                            data=rng.normal(size=(2,) + dims).astype(np.float32))
+            t = Grid(rng.normal(size=(2,) + dims).astype(np.float32))
         else:
             c = int(rng.integers(1, 9))
-            t = PyramidStage(stage_id="SB2", factor=8, channels=c, dims=dims,
-                             spacing=(8.0, 8.0, 8.0),
-                             data=rng.normal(size=(c,) + dims).astype(np.float32))
+            t = Grid(rng.normal(size=(c,) + dims).astype(np.float32), (8.0, 8.0, 8.0))
         p = tmp_path / f"t{case}.ovf"
         write_ovf(t, p)
         back = read_ovf(p)

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 from oodscan.cli import main
@@ -78,6 +79,23 @@ def test_corrupt_ovf_fails_in_extract_naming_scan(tmp_path, capsys):
     assert code == 3
     assert "stage=extract" in err
     assert "kidney_0002" in err
+
+
+def test_wrong_shaped_pyramid_stage_fails_in_extract_naming_scan(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    assert main(["encode", "--config", str(cfg_path)]) == 0
+    # a well-formed OVF with SB1's spacing but a 3^3 grid instead of 4^3
+    header = b"OVF1" + bytes(4) + struct.pack("<BB4x4I3f", 1, 4, 4, 3, 3, 3, 4.0, 4.0, 4.0)
+    victim = tmp_path / "work" / "kidney_0002_p1.ovf"
+    victim.write_bytes(header + bytes(4 * 4 * 27))
+
+    code = main(["extract", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "stage=extract" in err
+    assert "kidney_0002" in err
+    assert "SB1" in err
 
 
 def test_config_error_exit_code(tmp_path):

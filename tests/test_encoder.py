@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from oodscan.encoder import ToyEncoderConfig, avg_pool3, toy_encode
 from oodscan.errors import ConfigError
-from oodscan.volumes import Volume3D
+from oodscan.volumes import Grid
 
 
 def volume(dims, fill=None, seed=0):
@@ -13,19 +13,19 @@ def volume(dims, fill=None, seed=0):
         data = rng.random(dims).astype(np.float32)
     else:
         data = np.full(dims, fill, dtype=np.float32)
-    return Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0), data=data)
+    return Grid(data, (1.0, 1.0, 1.0))
 
 
 def test_stage_grid_ladder():
     pyr = toy_encode(volume((32, 32, 32)), ToyEncoderConfig())
     assert [s.dims for s in pyr.stages] == [(16,) * 3, (8,) * 3, (4,) * 3, (2,) * 3, (1,) * 3]
-    assert [s.factor for s in pyr.stages] == [2, 4, 8, 16, 32]
+    assert pyr.factors == (2, 4, 8, 16, 32)
     assert [s.channels for s in pyr.stages] == [8, 8, 16, 32, 64]
 
 
 def test_constant_volume_gives_constant_stages():
     pyr = toy_encode(volume((8, 8, 8), fill=0.0), ToyEncoderConfig())
-    pe = pyr.stage("PE")
+    pe = pyr.stages[0]
     flat = pe.data.reshape(pe.channels, -1)
     # every grid cell sees the same pooled value, so each channel is constant
     assert np.allclose(flat, flat[:, :1])
@@ -56,8 +56,8 @@ def test_width_monotonicity_enforced():
 def test_grid_dims_invariant(dim, seed):
     dims = (dim, dim, dim)
     pyr = toy_encode(volume(dims, seed=seed), ToyEncoderConfig())
-    for stage in pyr.stages:
-        expect = tuple(-(-d // stage.factor) for d in dims)
+    for stage, factor in zip(pyr.stages, pyr.factors):
+        expect = tuple(-(-d // factor) for d in dims)
         assert stage.dims == expect
 
 

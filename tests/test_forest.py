@@ -14,8 +14,8 @@ from oodscan.forest import (
     predict_proba_batch,
     predict_scan,
     sample_weight_vector,
+    _impurity,
     save_model,
-    weighted_gini,
 )
 from oodscan.rng import SplitMix64, derive
 
@@ -47,12 +47,11 @@ def test_balanced_weights_single_class_error():
 
 
 def test_weighted_gini_values():
-    assert weighted_gini(4.0, 0.0) == 0.0
-    assert weighted_gini(2.0, 2.0) == 0.5
-    assert weighted_gini(3.0, 1.0) == pytest.approx(1.0 - (9 / 16 + 1 / 16))
-    assert weighted_gini(3.0, 1.0) == pytest.approx(0.375)
-    with pytest.raises(ValueError):
-        weighted_gini(0.0, 0.0)
+    # _impurity is the cover-weighted Gini: (w0 + w1) * gini
+    assert _impurity(4.0, 0.0) == 0.0
+    assert _impurity(2.0, 2.0) == 4.0 * 0.5
+    assert _impurity(3.0, 1.0) == pytest.approx(4.0 * (1.0 - (9 / 16 + 1 / 16)))
+    assert _impurity(3.0, 1.0) == pytest.approx(4.0 * 0.375)
 
 
 # --- single trees -------------------------------------------------------------

@@ -6,15 +6,14 @@ import pytest
 from oodscan.errors import DataError
 from oodscan.manifest import load_manifest, load_pyramid, save_manifest
 from oodscan.ovf import write_ovf
-from oodscan.volumes import LogitVolume, MaskVolume, Volume3D
+from oodscan.volumes import Grid
 
 
 def write_scan_files(directory, sid, dims=(2, 2, 2)):
     rng = np.random.default_rng(hash(sid) % 2**32)
-    vol = Volume3D(dims=dims, spacing=(1, 1, 1),
-                   data=rng.random(dims).astype(np.float32))
-    mask = MaskVolume(dims=dims, data=rng.integers(0, 2, dims).astype(np.uint8))
-    logits = LogitVolume(dims=dims, data=rng.normal(size=(2,) + dims).astype(np.float32))
+    vol = Grid(rng.random(dims).astype(np.float32), (1, 1, 1))
+    mask = Grid(rng.integers(0, 2, dims).astype(np.uint8))
+    logits = Grid(rng.normal(size=(2,) + dims).astype(np.float32))
     write_ovf(vol, directory / f"{sid}_vol.ovf")
     write_ovf(mask, directory / f"{sid}_mask.ovf")
     write_ovf(logits, directory / f"{sid}_logits.ovf")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodscan.metrics import auroc, fpr_at_tpr, roc_curve, trapezoid_area
+from oodscan.metrics import auroc, fpr_at_tpr
 
 from oracles import exhaustive_fpr_at_tpr, pairwise_auroc
 
@@ -104,33 +104,3 @@ def test_fpr_zero_when_qualifying_ood_above_all_id():
     ids = [0.5, 0.6, 0.7]
     labels, scores = labeled(ood, ids)
     assert fpr_at_tpr(labels, scores, 0.95) == 0.0
-
-
-# --- roc curve -------------------------------------------------------------------
-
-def test_roc_perfect_pair():
-    labels, scores = labeled([0.9], [0.1])
-    assert roc_curve(labels, scores) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
-
-
-def test_roc_all_ties_diagonal():
-    labels, scores = labeled([0.5, 0.5], [0.5, 0.5])
-    points = roc_curve(labels, scores)
-    assert set(points) == {(0.0, 0.0), (1.0, 1.0)}
-
-
-def test_roc_monotone_and_area_matches_auroc():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        n_pos, n_neg = rng.integers(1, 40), rng.integers(1, 40)
-        labels, scores = labeled(
-            np.round(rng.normal(size=n_pos), 1),
-            np.round(rng.normal(size=n_neg), 1),
-        )
-        points = roc_curve(labels, scores)
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        assert all(b >= a for a, b in zip(xs, xs[1:]))
-        assert all(b >= a for a, b in zip(ys, ys[1:]))
-        assert trapezoid_area(points) == pytest.approx(auroc(labels, scores),
-                                                       abs=1e-12)

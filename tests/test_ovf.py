@@ -3,13 +3,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oodscan.errors import DataError
-from oodscan.ovf import DTYPE_F32, MAGIC, as_logits, as_stage, read_ovf, write_ovf
-from oodscan.volumes import ChannelGrid, LogitVolume, MaskVolume, PyramidStage, Volume3D
+from oodscan.manifest import ScanRecord, load_logits, load_pyramid
+from oodscan.ovf import DTYPE_F32, MAGIC, read_ovf, write_ovf
+from oodscan.volumes import Grid
 
 
 def small_volume(values, spacing=(1.0, 1.0, 1.0)):
     data = np.asarray(values, dtype=np.float32)
-    return Volume3D(dims=data.shape, spacing=spacing, data=data)
+    return Grid(data, spacing)
 
 
 def test_single_voxel_file_size_matches_layout(tmp_path):
@@ -26,7 +27,7 @@ def test_round_trip_volume(tmp_path):
     p = tmp_path / "v.ovf"
     write_ovf(vol, p)
     back = read_ovf(p)
-    assert isinstance(back, Volume3D)
+    assert back.data.dtype == np.float32
     assert back.dims == vol.dims
     assert back.spacing == pytest.approx(vol.spacing)
     assert np.array_equal(back.data, vol.data)
@@ -39,10 +40,9 @@ def test_round_trip_volume(tmp_path):
 )
 def test_round_trip_random_tensors(tmp_path, dims, seed):
     rng = np.random.default_rng(seed)
-    vol = Volume3D(dims=dims, spacing=(1.0, 1.0, 1.0),
-                   data=rng.normal(size=dims).astype(np.float32))
-    mask = MaskVolume(dims=dims, data=rng.integers(0, 2, size=dims).astype(np.uint8))
-    logits = LogitVolume(dims=dims, data=rng.normal(size=(2,) + dims).astype(np.float32))
+    vol = Grid(rng.normal(size=dims).astype(np.float32))
+    mask = Grid(rng.integers(0, 2, size=dims).astype(np.uint8))
+    logits = Grid(rng.normal(size=(2,) + dims).astype(np.float32))
     for i, tensor in enumerate((vol, mask, logits)):
         p = tmp_path / f"t{i}.ovf"
         write_ovf(tensor, p)
@@ -97,42 +97,71 @@ def test_trailing_bytes_rejected(tmp_path):
         read_ovf(p)
 
 
+def write_stage_files(tmp_path, base_spacing, rng):
+    """Five stage files of a 32^3 pyramid and a record that lists them."""
+    factors = (2, 4, 8, 16, 32)
+    widths = (8, 8, 16, 32, 64)
+    stages, paths = [], []
+    for i, (f, w) in enumerate(zip(factors, widths)):
+        d = (32 // f,) * 3
+        stages.append(Grid(rng.normal(size=(w,) + d).astype(np.float32),
+                           tuple(s * f for s in base_spacing)))
+        paths.append(tmp_path / f"s_p{i}.ovf")
+        write_ovf(stages[-1], paths[-1])
+    rec = ScanRecord(scan_id="s", cohort_label="ID", cohort_name="c",
+                     volume=None, mask=None, logits=None, pyramid=tuple(paths))
+    return rec, stages, factors
+
+
 def test_pyramid_stage_round_trip_preserves_factors(tmp_path):
-    rng = np.random.default_rng(0)
-    base_spacing = (1.0, 1.0, 1.0)
-    factors = [2, 4, 8, 16, 32]
-    widths = [8, 8, 16, 32, 64]
-    dims = [(16,) * 3, (8,) * 3, (4,) * 3, (2,) * 3, (1,) * 3]
-    stage_ids = ["PE", "SB1", "SB2", "SB3", "SB4"]
-    for sid, f, w, d in zip(stage_ids, factors, widths, dims):
-        stage = PyramidStage(
-            stage_id=sid, factor=f, channels=w, dims=d,
-            spacing=tuple(s * f for s in base_spacing),
-            data=rng.normal(size=(w,) + d).astype(np.float32),
-        )
-        p = tmp_path / f"{sid}.ovf"
-        write_ovf(stage, p)
-        grid = read_ovf(p)
-        back = as_stage(grid, sid, base_spacing, p)
-        assert back.factor == f
-        assert back.stage_id == sid
-        assert np.array_equal(back.data, stage.data)
+    rec, stages, factors = write_stage_files(tmp_path, (1.0, 1.0, 1.0),
+                                             np.random.default_rng(0))
+    back = load_pyramid(rec, (1.0, 1.0, 1.0))
+    assert back.factors == factors
+    assert back.volume_dims == (32, 32, 32)
+    for a, b in zip(back.stages, stages):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_factor_recovery_with_anisotropic_spacing(tmp_path):
     base = (0.7, 1.3, 2.1)
-    stage = PyramidStage(
-        stage_id="SB2", factor=8, channels=3, dims=(2, 2, 2),
-        spacing=tuple(s * 8 for s in base),
-        data=np.zeros((3, 2, 2, 2), dtype=np.float32),
-    )
-    p = tmp_path / "s.ovf"
-    write_ovf(stage, p)
-    assert as_stage(read_ovf(p), "SB2", base, p).factor == 8
+    rec, _, factors = write_stage_files(tmp_path, base, np.random.default_rng(1))
+    assert load_pyramid(rec, base).factors == factors
 
 
-def test_logit_channel_check():
-    grid = ChannelGrid(channels=3, dims=(1, 1, 1), spacing=(1, 1, 1),
-                       data=np.zeros((3, 1, 1, 1), dtype=np.float32))
-    with pytest.raises(DataError, match="2 channels"):
-        as_logits(grid)
+def test_logit_channel_check(tmp_path):
+    p = tmp_path / "l.ovf"
+    write_ovf(Grid(np.zeros((3, 1, 1, 1), dtype=np.float32)), p)
+    rec = ScanRecord(scan_id="s", cohort_label="ID", cohort_name="c",
+                     volume=None, mask=None, logits=p)
+    with pytest.raises(DataError, match="2-channel"):
+        load_logits(rec)
+
+
+@pytest.mark.parametrize("data, spacing", [
+    (np.zeros((2, 2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)),  # 4-D mask
+    (np.full((2, 2, 2), 2, dtype=np.uint8), (1.0, 1.0, 1.0)),  # mask value > 1
+    (np.array([[[np.nan]]]), (1.0, 1.0, 1.0)),
+    (np.full((2, 1, 1, 1), np.inf, dtype=np.float32), (1.0, 1.0, 1.0)),
+    (np.zeros((2, 0, 2), dtype=np.float32), (1.0, 1.0, 1.0)),  # zero-length axis
+    (np.zeros((0, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)),
+    (np.zeros((2, 2), dtype=np.float32), (1.0, 1.0, 1.0)),  # not 3-D or 4-D
+    (np.zeros((1, 1, 1, 1, 1), dtype=np.float32), (1.0, 1.0, 1.0)),
+    (np.zeros((1, 1, 1), dtype=np.float32), (1.0, 0.0, 1.0)),
+    (np.zeros((1, 1, 1), dtype=np.float32), (1.0, -2.0, 1.0)),
+    (np.zeros((1, 1, 1), dtype=np.float32), (1.0, 1.0, np.inf)),
+    (np.zeros((1, 1, 1), dtype=np.float32), (1.0, np.nan, 1.0)),
+    (np.zeros((1, 1, 1), dtype=np.float32), (1.0, 1.0)),
+])
+def test_grid_rejects_invalid_input(data, spacing):
+    with pytest.raises(ValueError):
+        Grid(data, spacing)
+
+
+def test_grid_derives_dims_and_channels():
+    stage = Grid(np.zeros((5, 2, 3, 4)))
+    assert (stage.dims, stage.channels, stage.data.dtype) == ((2, 3, 4), 5, np.float32)
+    mask = Grid(np.ones((2, 3, 4), dtype=bool))
+    assert (mask.dims, mask.channels, mask.data.dtype) == ((2, 3, 4), 1, np.uint8)
+    data = np.zeros((2, 2, 2), dtype=np.float32)
+    assert Grid(data).data is data  # no copy when the dtype already matches

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oodscan.radiomics import RADIOMICS_NAMES, radiomics_lite
-from oodscan.volumes import MaskVolume, Volume3D
+from oodscan.volumes import Grid
 
 
 def build(intensities_at, dims=(6, 6, 6), spacing=(1.0, 1.0, 1.0), fill=0.0):
@@ -12,8 +12,7 @@ def build(intensities_at, dims=(6, 6, 6), spacing=(1.0, 1.0, 1.0), fill=0.0):
     for voxel, value in intensities_at.items():
         data[voxel] = value
         mask[voxel] = 1
-    vol = Volume3D(dims=dims, spacing=spacing, data=data)
-    return vol, MaskVolume(dims=dims, spacing=spacing, data=mask)
+    return Grid(data, spacing), Grid(mask, spacing)
 
 
 def feats(vector):
@@ -108,8 +107,8 @@ def test_all_values_finite_on_random_masks():
         data = rng.random(dims).astype(np.float32)
         mask = (rng.random(dims) < 0.1).astype(np.uint8)
         v = radiomics_lite(
-            Volume3D(dims=dims, spacing=(1, 1, 1), data=data),
-            MaskVolume(dims=dims, data=mask),
+            Grid(data, (1, 1, 1)),
+            Grid(mask),
         )
         assert np.all(np.isfinite(v.values))
 

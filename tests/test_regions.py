@@ -12,14 +12,14 @@ from oodscan.regions import (
 )
 from oodscan.rng import SplitMix64, derive
 from oodscan.encoder import ToyEncoderConfig, toy_encode
-from oodscan.volumes import MaskVolume, Volume3D
+from oodscan.volumes import Grid
 
 
 def mask_from(dims, voxels):
     data = np.zeros(dims, dtype=np.uint8)
     for v in voxels:
         data[v] = 1
-    return MaskVolume(dims=dims, data=data)
+    return Grid(data)
 
 
 # --- connected components -------------------------------------------------
@@ -31,7 +31,7 @@ def test_two_isolated_voxels():
 
 
 def test_full_grid_single_component():
-    m = MaskVolume(dims=(3, 4, 5), data=np.ones((3, 4, 5), dtype=np.uint8))
+    m = Grid(np.ones((3, 4, 5), dtype=np.uint8))
     comps = connected_components(m)
     assert len(comps) == 1 and len(comps[0]) == 60
 
@@ -97,7 +97,7 @@ def test_factor_one_is_identity():
 
 
 def test_full_block_reduces_to_one():
-    m = MaskVolume(dims=(2, 2, 2), data=np.ones((2, 2, 2), dtype=np.uint8))
+    m = Grid(np.ones((2, 2, 2), dtype=np.uint8))
     stage = downsample_mask_to_stage(m, 2)
     assert stage.shape == (1, 1, 1) and stage[0, 0, 0]
 
@@ -108,7 +108,7 @@ def test_nonempty_mask_stays_nonempty_at_every_factor(seed):
     data = (rng.random((8, 8, 8)) < 0.05).astype(np.uint8)
     if data.sum() == 0:
         data[tuple(rng.integers(0, 8, 3))] = 1
-    m = MaskVolume(dims=(8, 8, 8), data=data)
+    m = Grid(data)
     for factor in (2, 4, 8):
         assert downsample_mask_to_stage(m, factor).any()
 
@@ -155,11 +155,10 @@ def test_full_mask_equals_global_mean(seed):
 def scan():
     rng = np.random.default_rng(12)
     dims = (32, 32, 32)
-    vol = Volume3D(dims=dims, spacing=(1, 1, 1),
-                   data=rng.random(dims).astype(np.float32))
+    vol = Grid(rng.random(dims).astype(np.float32), (1, 1, 1))
     data = np.zeros(dims, dtype=np.uint8)
     data[14:19, 15:20, 13:17] = 1
-    mask = MaskVolume(dims=dims, data=data)
+    mask = Grid(data)
     pyramid = toy_encode(vol, ToyEncoderConfig(seed=5))
     return vol, mask, pyramid
 
@@ -180,15 +179,10 @@ def test_vector_length_and_slices(scan):
 
 def test_constant_pyramid_gives_constant_features(scan):
     _, mask, pyramid = scan
-    const_stages = []
-    for s in pyramid.stages:
-        const_stages.append(type(s)(
-            stage_id=s.stage_id, factor=s.factor, channels=s.channels,
-            dims=s.dims, spacing=s.spacing,
-            data=np.full_like(s.data, 0.625),
-        ))
+    const_stages = tuple(Grid(np.full_like(s.data, 0.625), s.spacing)
+                         for s in pyramid.stages)
     const_pyr = type(pyramid)(volume_dims=pyramid.volume_dims,
-                              stages=tuple(const_stages))
+                              stages=const_stages, factors=pyramid.factors)
     crops = tumor_crops(mask, k=3, crop_size=(16, 16, 16), jitter_radius=2, seed=9)
     for v in deep_feature_vector(const_pyr, mask, crops, scan_id="s"):
         assert np.allclose(v.values[:-1], 0.625)
@@ -199,8 +193,8 @@ def test_full_volume_crop_equals_whole_scan_means(scan):
     crop = CropBox(origin=(0, 0, 0), size=(32, 32, 32))
     v = deep_feature_vector(pyramid, mask, [crop], scan_id="s")[0]
     expect = []
-    for stage in pyramid.stages:
-        stage_mask = downsample_mask_to_stage(mask, stage.factor)
+    for stage, factor in zip(pyramid.stages, pyramid.factors):
+        stage_mask = downsample_mask_to_stage(mask, factor)
         values, _ = masked_mean(stage.data, stage_mask)
         expect.append(values)
     assert np.allclose(v.values[:-1], np.concatenate(expect))
@@ -212,14 +206,14 @@ def test_invariant_to_mask_outside_crop(scan):
     base = deep_feature_vector(pyramid, mask, crops, scan_id="s")[0]
     mutated = mask.data.copy()
     mutated[0:4, 0:4, 0:4] = 1  # far away from the crop
-    far = MaskVolume(dims=mask.dims, data=mutated)
+    far = Grid(mutated)
     out = deep_feature_vector(pyramid, far, crops, scan_id="s")[0]
     assert np.array_equal(base.values, out.values)
 
 
 def test_empty_crop_sets_flag_and_stays_finite(scan):
     _, _, pyramid = scan
-    empty = MaskVolume(dims=(32, 32, 32), data=np.zeros((32, 32, 32), dtype=np.uint8))
+    empty = Grid(np.zeros((32, 32, 32), dtype=np.uint8))
     crops = [CropBox(origin=(0, 0, 0), size=(8, 8, 8))]
     v = deep_feature_vector(pyramid, empty, crops, scan_id="s")[0]
     assert v.values[-1] == 1.0

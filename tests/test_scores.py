@@ -12,7 +12,7 @@ from oodscan.scores import (
     voxel_scores,
     voxel_softmax,
 )
-from oodscan.volumes import LogitVolume, MaskVolume
+from oodscan.volumes import Grid
 
 getcontext().prec = 60
 
@@ -26,11 +26,11 @@ def energy_decimal(l0: float, l1: float, t: float = 1.0) -> float:
 
 def logit_volume(l0, l1, dims=(2, 2, 2)):
     data = np.stack([np.full(dims, l0), np.full(dims, l1)]).astype(np.float32)
-    return LogitVolume(dims=dims, data=data)
+    return Grid(data)
 
 
 def full_mask(dims=(2, 2, 2)):
-    return MaskVolume(dims=dims, data=np.ones(dims, dtype=np.uint8))
+    return Grid(np.ones(dims, dtype=np.uint8))
 
 
 # --- per-voxel scores -------------------------------------------------------
@@ -117,7 +117,7 @@ def test_constant_field_independent_of_mask_shape():
             data = np.zeros((4, 4, 4), dtype=np.uint8)
             for v in voxels:
                 data[v] = 1
-        mask = MaskVolume(dims=(4, 4, 4), data=data)
+        mask = Grid(data)
         shapes.append(scan_score(logits, mask, ScoreConfig("energy")).value)
     assert shapes[0] == pytest.approx(shapes[1], abs=1e-12)
     assert shapes[0] == pytest.approx(shapes[2], abs=1e-12)
@@ -127,8 +127,8 @@ def test_empty_mask_fallback_top_voxels():
     rng = np.random.default_rng(0)
     dims = (8, 8, 8)
     data = rng.normal(size=(2,) + dims).astype(np.float32)
-    logits = LogitVolume(dims=dims, data=data)
-    empty = MaskVolume(dims=dims, data=np.zeros(dims, dtype=np.uint8))
+    logits = Grid(data)
+    empty = Grid(np.zeros(dims, dtype=np.uint8))
     got = scan_score(logits, empty, ScoreConfig("maxlogit"), scan_id="x")
     assert got.fallback_used
     assert math.isfinite(got.value)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oodscan.forest import RFParams, fit_forest
+from oodscan.forest import RFParams
 from oodscan.rng import SplitMix64
-from oodscan.selection import permutation_importance, rfe
+from oodscan.selection import rfe
 
 
 def decisive_dataset(n=120, d=10, seed=5):
@@ -50,21 +50,3 @@ def test_rfe_rejects_bad_target():
         rfe(X, y, PARAMS, target_count=5, step=1, seed=0)
     with pytest.raises(ValueError):
         rfe(X, y, PARAMS, target_count=0, step=1, seed=0)
-
-
-def test_permutation_importance_decisive_vs_constant():
-    X, y = decisive_dataset(d=4)
-    X[:, 3] = 1.25  # constant column: permuting it changes nothing
-    forest = fit_forest(X, y, PARAMS, seed=3)
-    imp = permutation_importance(forest, X, y, n_repeats=3, seed=4)
-    assert imp[3] == 0.0
-    assert imp[0] > 0.1
-    assert imp[0] == max(imp)
-
-
-def test_permutation_importance_deterministic():
-    X, y = decisive_dataset(d=5)
-    forest = fit_forest(X, y, PARAMS, seed=3)
-    a = permutation_importance(forest, X, y, n_repeats=2, seed=8)
-    b = permutation_importance(forest, X, y, n_repeats=2, seed=8)
-    assert np.array_equal(a, b)
