@@ -21,9 +21,6 @@ from .pipeline import (
     run_stage,
 )
 
-_STAGE_COMMANDS = ("gen", "encode", "extract", "score", "train", "eval", "report")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oodscan",
@@ -70,19 +67,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed_override=args.seed,
                           workdir_override=args.workdir,
                           threads_override=args.threads)
+        if getattr(args, "cohorts", None):
+            cfg = replace_cohorts(cfg, args.cohorts)
     except ConfigError as exc:
         print(f"error stage=config {exc}", file=sys.stderr)
         return 2
 
-    if getattr(args, "cohorts", None):
-        try:
-            cfg = replace_cohorts(cfg, args.cohorts)
-        except ConfigError as exc:
-            print(f"error stage=config {exc}", file=sys.stderr)
-            return 2
-
     try:
-        if args.command in _STAGE_COMMANDS:
+        if args.command in PIPELINE_STAGES:
             run_stage(cfg, args.command)
         elif args.command == "ablate":
             path = run_ablate(cfg)

@@ -12,7 +12,7 @@ breaks confidence-score baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -178,11 +178,7 @@ def make_cohort(specs: list[CohortSpec], out_dir, map_fn=map) -> CohortManifest:
     records = list(map_fn(build, jobs))
     provenance = {
         "generator": "oodscan synthetic cohorts",
-        "specs": [
-            {k: (list(v) if isinstance(v, tuple) else v)
-             for k, v in spec.__dict__.items()}
-            for spec in specs
-        ],
+        "specs": [asdict(spec) for spec in specs],
     }
     manifest = CohortManifest(
         dataset_name="+".join(names),

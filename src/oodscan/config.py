@@ -68,38 +68,10 @@ class RunConfig:
 
     def canonical_dict(self) -> dict:
         """Semantic content only; drives the config hash."""
-        return {
-            "cohorts": [
-                {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in spec.__dict__.items()}
-                for spec in self.cohorts
-            ],
-            "encoder": {
-                "patch_size": self.encoder.patch_size,
-                "widths": list(self.encoder.widths),
-                "seed": self.encoder.seed,
-            },
-            "crops": {
-                "count": self.crops.count,
-                "size": list(self.crops.size),
-                "jitter_radius": self.crops.jitter_radius,
-            },
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "max_depth": self.forest.max_depth,
-                "max_features": self.forest.max_features,
-                "min_samples_split": self.forest.min_samples_split,
-            },
-            "temperature": self.temperature,
-            "protocol": {
-                "train_frac": self.protocol.train_frac,
-                "n_seeds": self.protocol.n_seeds,
-                "base_seed": self.protocol.base_seed,
-            },
-            "rfe_target": self.rfe_target,
-            "rfe_step": self.rfe_step,
-            "ablate_stages": list(self.ablate_stages),
-        }
+        doc = dataclasses.asdict(self)
+        for key in ("work_dir", "manifest", "threads"):
+            del doc[key]
+        return doc
 
     def config_hash(self) -> str:
         canon = json.dumps(self.canonical_dict(), sort_keys=True,
@@ -147,9 +119,7 @@ def load_config(path, *, seed_override: int | None = None,
 
 def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = None,
                  workdir_override=None, threads_override: int | None = None) -> RunConfig:
-    known = {"work_dir", "manifest", "cohorts", "encoder", "crops", "forest",
-             "temperature", "protocol", "rfe_target", "rfe_step",
-             "ablate_stages", "threads"}
+    known = {f.name for f in dataclasses.fields(RunConfig)}
     extra = set(doc) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
@@ -175,9 +145,7 @@ def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = N
         raise ConfigError(f"bad config structure: {exc}") from exc
 
     if seed_override is not None:
-        protocol = ProtocolConfig(train_frac=protocol.train_frac,
-                                  n_seeds=protocol.n_seeds,
-                                  base_seed=seed_override)
+        protocol = dataclasses.replace(protocol, base_seed=seed_override)
 
     ablate_stages = tuple(doc.get("ablate_stages") or STAGE_IDS)
     for stage in ablate_stages:

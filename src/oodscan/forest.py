@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -320,12 +320,7 @@ def _node_from_doc(doc: dict) -> TreeNode:
 def save_model(forest: Forest, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "max_features": forest.params.max_features,
-            "min_samples_split": forest.params.min_samples_split,
-        },
+        "params": asdict(forest.params),
         "n_features": forest.n_features,
         "feature_names": list(forest.feature_names),
         "seed": forest.seed,
@@ -341,10 +336,14 @@ def load_model(path) -> Forest:
         raise DataError(f"cannot read model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataError(f"model {path}: unknown format {doc.get('format')!r}")
-    params = RFParams(**doc["params"])
-    trees = [_node_from_doc(t) for t in doc["trees"]]
-    return Forest(trees=trees, n_features=doc["n_features"],
-                  feature_names=tuple(doc["feature_names"]),
-                  seed=doc["seed"], params=params)
+    try:
+        if doc.get("format") != MODEL_FORMAT:
+            raise DataError(f"model {path}: unknown format {doc.get('format')!r}")
+        params = RFParams(**doc["params"])
+        trees = [_node_from_doc(t) for t in doc["trees"]]
+        return Forest(trees=trees, n_features=doc["n_features"],
+                      feature_names=tuple(doc["feature_names"]),
+                      seed=doc["seed"], params=params)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model {path} is malformed: "
+                        f"{type(exc).__name__}: {exc}") from exc

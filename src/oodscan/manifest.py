@@ -170,29 +170,27 @@ def load_logits(rec: ScanRecord) -> Grid:
     return logits
 
 
-def load_pyramid(rec: ScanRecord, volume_spacing) -> FeaturePyramid:
+def load_pyramid(rec: ScanRecord, volume: Grid) -> FeaturePyramid:
     """Reassemble a scan's pyramid from its stage files.
 
     Each stage's downsample factor is the (rounded) ratio of its stored
-    spacing to the companion volume spacing.
+    spacing to the companion volume's spacing, and its grid must be that
+    volume's dims divided by the factor, rounded up.
     """
     if rec.pyramid is None:
         raise DataError(f"scan {rec.scan_id!r}: no pyramid in manifest (run encode first)")
     stages, factors = [], []
     for p in rec.pyramid:
         grid = read_ovf(p)
-        ratios = [g / b for g, b in zip(grid.spacing, volume_spacing)]
+        ratios = [g / b for g, b in zip(grid.spacing, volume.spacing)]
         factor = int(round(ratios[0]))
         if factor < 1 or any(abs(r - factor) > 0.01 * factor for r in ratios):
             raise DataError(f"scan {rec.scan_id!r}: {p}: stage spacing {grid.spacing} is not "
-                            f"an integer multiple of volume spacing {tuple(volume_spacing)}")
+                            f"an integer multiple of volume spacing {volume.spacing}")
         stages.append(grid)
         factors.append(factor)
-    # Reconstruct a volume grid consistent with every stage. ceil(ceil(d/p)*p
-    # / f) == ceil(d/f) for the factor ladder, so PE carries enough information.
-    volume_dims = tuple(d * factors[0] for d in stages[0].dims)
     try:
-        return FeaturePyramid(volume_dims=volume_dims, stages=tuple(stages),
+        return FeaturePyramid(volume_dims=volume.dims, stages=tuple(stages),
                               factors=tuple(factors))
     except ValueError as exc:
         raise DataError(f"scan {rec.scan_id!r}: {exc}") from exc

@@ -12,6 +12,8 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig
 from .cohorts import make_cohort
 from .encoder import toy_encode
@@ -30,8 +32,8 @@ from .manifest import (
 from .ovf import write_ovf
 from .parallel import make_map_fn
 from .protocol import METHOD_ORDER, repeated_split_eval
-from .radiomics import radiomics_lite
-from .regions import deep_feature_vector, tumor_crops
+from .radiomics import RADIOMICS_NAMES, radiomics_lite
+from .regions import deep_feature_names, deep_feature_vector, tumor_crops
 from .report import (
     read_per_seed_csv,
     render_summary_text,
@@ -44,16 +46,13 @@ from .rng import derive
 from .scores import METHODS as SCORE_METHODS
 from .scores import ScoreConfig, scan_score
 from .tables import (
+    FeatureTable,
     read_feature_table,
     read_scores_csv,
-    table_from_vectors,
     write_feature_table,
     write_scores_csv,
 )
 from .treeshap import tree_shap
-
-PIPELINE_STAGES = ("gen", "encode", "extract", "score", "train", "eval", "report")
-
 
 class StageError(OodscanError):
     def __init__(self, stage: str, cause: Exception):
@@ -144,14 +143,13 @@ def stage_encode(cfg: RunConfig) -> list[Path]:
 
 def stage_extract(cfg: RunConfig) -> list[Path]:
     manifest = load_manifest(cfg.manifest)
-    labels = {r.scan_id: r.cohort_label for r in manifest.records}
     base_seed = cfg.protocol.base_seed
     map_fn = make_map_fn(cfg.threads)
 
     def extract_one(rec: ScanRecord):
         volume = load_volume(rec)
         mask = load_mask(rec)
-        pyramid = load_pyramid(rec, volume.spacing)
+        pyramid = load_pyramid(rec, volume)
         crops = tumor_crops(
             mask,
             k=cfg.crops.count,
@@ -159,18 +157,36 @@ def stage_extract(cfg: RunConfig) -> list[Path]:
             jitter_radius=cfg.crops.jitter_radius,
             seed=derive(base_seed, "crops", rec.scan_id),
         )
-        deep = deep_feature_vector(pyramid, mask, crops, scan_id=rec.scan_id)
-        rad = radiomics_lite(volume, mask, scan_id=rec.scan_id)
-        return deep, rad
+        return (deep_feature_names(pyramid),
+                deep_feature_vector(pyramid, mask, crops),
+                radiomics_lite(volume, mask))
 
-    results = map_fn(extract_one, manifest.records)
-    deep_vectors = [v for deep, _ in results for v in deep]
-    rad_vectors = [rad for _, rad in results]
+    records = manifest.records
+    if not records:
+        raise DataError(f"manifest {cfg.manifest} lists no scans")
+    results = map_fn(extract_one, records)
+    deep_names = results[0][0]
+    for rec, (names, _, _) in zip(records, results):
+        if names != deep_names:
+            raise DataError(f"scan {rec.scan_id!r}: deep feature columns differ "
+                            f"from those of scan {records[0].scan_id!r}")
+
+    def table(kind, names, per_scan, values) -> FeatureTable:
+        return FeatureTable(
+            kind=kind,
+            names=names,
+            scan_ids=tuple(r.scan_id for r in records for _ in range(per_scan)),
+            labels=tuple(r.cohort_label for r in records for _ in range(per_scan)),
+            crop_indices=tuple(range(per_scan)) * len(records),
+            values=values,
+        )
 
     paths = _paths(cfg)
-    write_feature_table(table_from_vectors("deep", deep_vectors, labels),
+    write_feature_table(table("deep", deep_names, cfg.crops.count,
+                              np.concatenate([rows for _, rows, _ in results])),
                         paths["deep"])
-    write_feature_table(table_from_vectors("radiomics", rad_vectors, labels),
+    write_feature_table(table("radiomics", RADIOMICS_NAMES, 1,
+                              np.stack([rad for _, _, rad in results])),
                         paths["radiomics"])
     return [paths["deep"], paths["radiomics"]]
 
@@ -279,6 +295,8 @@ def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) ->
     model_path = paths["model_deep"] if kind == "deep" else paths["model_radiomics"]
     table = read_feature_table(paths[kind], kind)
     forest = load_model(model_path)
+    if forest.feature_names != table.names:
+        raise DataError(f"model {model_path} was fit on other columns than {paths[kind]}")
     out_path = cfg.work_dir / f"shap_{kind}.csv"
     n_rows = len(table.scan_ids) if limit is None else min(limit, len(table.scan_ids))
     with open(out_path, "w", newline="") as fh:
@@ -295,7 +313,7 @@ def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) ->
     return out_path
 
 
-_STAGE_FNS = {
+_STAGE_FNS = {  # in pipeline run order
     "gen": stage_gen,
     "encode": stage_encode,
     "extract": stage_extract,
@@ -304,6 +322,7 @@ _STAGE_FNS = {
     "eval": stage_eval,
     "report": stage_report,
 }
+PIPELINE_STAGES = tuple(_STAGE_FNS)
 
 
 def run_stage(cfg: RunConfig, stage: str) -> list[Path]:

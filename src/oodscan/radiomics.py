@@ -2,7 +2,9 @@
 
 A deliberately small, fully documented feature set (14 first-order + 12
 shape) that plays the comparison-classifier role at desk scale. Texture
-matrix families are out of scope.
+matrix families are out of scope. ``radiomics_lite`` returns one float64 row
+per scan: the 26 features, then the empty-mask flag, in ``RADIOMICS_NAMES``
+order.
 
 Conventions, fixed so results are reproducible across implementations:
 first-order statistics use population moments (divide by n); percentiles
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .regions import EMPTY_MASK_FEATURE, FeatureVector
+from .regions import EMPTY_MASK_FEATURE
 from .volumes import Grid
 
 FIRST_ORDER_NAMES = (
@@ -117,8 +119,9 @@ def _shape(mask: Grid) -> list[float]:
             offsets[0], offsets[1], offsets[2]]
 
 
-def radiomics_lite(volume: Grid, mask: Grid, scan_id: str = "") -> FeatureVector:
-    """First-order + shape features over masked voxels of a [0, 1] volume.
+def radiomics_lite(volume: Grid, mask: Grid) -> np.ndarray:
+    """First-order + shape features over masked voxels of a [0, 1] volume,
+    as a float64 array in ``RADIOMICS_NAMES`` order.
 
     An empty mask yields all-zero features with the empty-mask flag set.
     """
@@ -128,10 +131,7 @@ def radiomics_lite(volume: Grid, mask: Grid, scan_id: str = "") -> FeatureVector
     if not sel.any():
         values = np.zeros(len(RADIOMICS_NAMES))
         values[-1] = 1.0
-        return FeatureVector(scan_id=scan_id, kind="radiomics",
-                             names=RADIOMICS_NAMES, values=values)
+        return values
 
     intensities = volume.data[sel].astype(np.float64)
-    values = _first_order(intensities) + _shape(mask) + [0.0]
-    return FeatureVector(scan_id=scan_id, kind="radiomics",
-                         names=RADIOMICS_NAMES, values=np.array(values))
+    return np.array(_first_order(intensities) + _shape(mask) + [0.0])

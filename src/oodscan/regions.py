@@ -1,9 +1,10 @@
 """Tumor-region machinery: components, crops, and masked multi-scale features.
 
-The deep feature vector for one crop is the concatenation, over the five
+The deep feature row for one crop is the concatenation, over the five
 pyramid stages, of the per-channel mean of stage features across the stage
-cells covered by the (crop-restricted) mask. A scan yields one vector per
-crop; classifier probabilities, not features, are averaged downstream.
+cells covered by the (crop-restricted) mask. A scan yields a (crops,
+features) array, one row per crop; classifier probabilities, not features,
+are averaged downstream.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import ndimage
 from .rng import SplitMix64, derive
 from .volumes import STAGE_IDS, FeaturePyramid, Grid
 
-# Appended to every feature vector: 1.0 when the (crop-restricted) mask was
+# The last column of every feature row: 1.0 when the (crop-restricted) mask was
 # empty and whole-region statistics were used instead. An empty prediction is
 # itself evidence the scan is unlike the training data, so the classifier
 # gets to see it.
@@ -39,27 +40,6 @@ class CropBox:
 
     def slices(self) -> tuple[slice, slice, slice]:
         return tuple(slice(o, o + s) for o, s in zip(self.origin, self.size))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    scan_id: str
-    kind: str  # "deep" | "radiomics"
-    names: tuple[str, ...]
-    values: np.ndarray  # float64
-    stage_slices: dict | None = None  # deep only: stage_id -> (start, stop)
-    crop_index: int = 0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if len(self.names) != values.size:
-            raise ValueError("names and values must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("feature names must be unique")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature values must all be finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
 
 
 def connected_components(mask: Grid) -> list[np.ndarray]:
@@ -127,16 +107,14 @@ def tumor_crops(
     return crops
 
 
-def downsample_mask_to_stage(mask: Grid, factor: int) -> np.ndarray:
-    """Any-coverage (max-pool) reduction onto a ceil(dims/factor) grid."""
+def downsample_mask_to_stage(mask: np.ndarray, factor: int) -> np.ndarray:
+    """Any-coverage (max-pool) reduction of a 3-D 0/1 array onto a
+    ceil(dims/factor) grid whose cells start at multiples of ``factor``."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return mask.data.astype(bool)
-    out = mask.data.astype(bool)
+    out = mask.astype(bool)
     for axis in range(3):
-        n = out.shape[axis]
-        starts = np.arange(0, n, factor)
+        starts = np.arange(0, out.shape[axis], factor)
         out = np.maximum.reduceat(out, starts, axis=axis)
     return out
 
@@ -153,39 +131,32 @@ def masked_mean(stage_data: np.ndarray, stage_mask: np.ndarray) -> tuple[np.ndar
     return flat.mean(axis=1), True
 
 
-def deep_feature_names(pyramid: FeaturePyramid) -> tuple[list[str], dict]:
-    names: list[str] = []
-    slices: dict = {}
-    for stage_id, stage in zip(STAGE_IDS, pyramid.stages):
-        start = len(names)
-        names.extend(f"{stage_id}_{c:03d}" for c in range(stage.channels))
-        slices[stage_id] = (start, len(names))
-    names.append(EMPTY_MASK_FEATURE)
-    return names, slices
+def deep_feature_names(pyramid: FeaturePyramid) -> tuple[str, ...]:
+    """Column names of the rows ``deep_feature_vector`` returns."""
+    names = tuple(f"{stage_id}_{c:03d}"
+                  for stage_id, stage in zip(STAGE_IDS, pyramid.stages)
+                  for c in range(stage.channels))
+    return names + (EMPTY_MASK_FEATURE,)
 
 
 def deep_feature_vector(
     pyramid: FeaturePyramid,
     mask: Grid,
     crops: list[CropBox],
-    scan_id: str = "",
-) -> list[FeatureVector]:
-    """One masked multi-scale feature vector per crop.
+) -> np.ndarray:
+    """Masked multi-scale features as a float64 (crops, features) array.
 
-    Per crop: zero the mask outside the crop, reduce it onto each stage grid,
-    restrict the stage grid to cells [floor(o/f), ceil((o+size)/f)) per axis,
-    and take per-channel masked means; stages concatenate PE||SB1..||SB4.
-    Mask voxels outside the crop can never influence the result.
+    Row i belongs to crops[i]; its columns are ``deep_feature_names``: per
+    stage PE||SB1..||SB4 the per-channel mean of the stage features over the
+    cells [floor(o/f), ceil((o+size)/f)) per axis that the crop-restricted
+    mask covers, then the empty-mask flag. Mask voxels outside the crop can
+    never influence the result.
     """
-    names, slices = deep_feature_names(pyramid)
-    vectors = []
-    for crop_index, crop in enumerate(crops):
+    rows = []
+    for crop in crops:
         if any(o + s > d for o, s, d in zip(crop.origin, crop.size, mask.dims)):
             raise ValueError(f"crop {crop} exceeds volume dims {mask.dims}")
-        cropped = np.zeros(mask.dims, dtype=np.uint8)
-        cropped[crop.slices()] = mask.data[crop.slices()]
-        cropped_mask = Grid(cropped, mask.spacing)
-
+        crop_mask = mask.data[crop.slices()]
         parts = []
         fallback = False
         for stage, f in zip(pyramid.stages, pyramid.factors):
@@ -194,20 +165,16 @@ def deep_feature_vector(
                 min(-(-(o + s) // f), g)
                 for o, s, g in zip(crop.origin, crop.size, stage.dims)
             ]
+            # The crop zero-padded to the voxels [lo*f, hi*f) of the stage
+            # cells it touches; the window starts on a multiple of f, so its
+            # pooled cells are exactly the stage's cells lo..hi.
+            pad = [(o - a * f, min(b * f, d) - o - s) for o, s, a, b, d
+                   in zip(crop.origin, crop.size, lo, hi, mask.dims)]
+            stage_mask = downsample_mask_to_stage(np.pad(crop_mask, pad), f)
             sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-            stage_mask = downsample_mask_to_stage(cropped_mask, f)[sl]
             values, fb = masked_mean(stage.data[(slice(None),) + sl], stage_mask)
             fallback = fallback or fb
             parts.append(values)
         parts.append(np.array([1.0 if fallback else 0.0]))
-        vectors.append(
-            FeatureVector(
-                scan_id=scan_id,
-                kind="deep",
-                names=tuple(names),
-                values=np.concatenate(parts),
-                stage_slices=slices,
-                crop_index=crop_index,
-            )
-        )
-    return vectors
+        rows.append(np.concatenate(parts))
+    return np.stack(rows)

@@ -11,10 +11,7 @@ from pathlib import Path
 
 from .errors import DataError
 from .protocol import DISPLAY_NAMES, EvalReport, MethodCohortResult
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+from .tables import finite_float, format_float
 
 
 def write_per_seed_csv(report: EvalReport, path) -> None:
@@ -27,7 +24,7 @@ def write_per_seed_csv(report: EvalReport, path) -> None:
                 for cohort in report.cohorts:
                     a, f = report.results[(method, cohort)].per_seed[seed]
                     writer.writerow([seed, DISPLAY_NAMES[method], cohort,
-                                     _fmt(a), _fmt(f)])
+                                     format_float(a), format_float(f)])
 
 
 def read_per_seed_csv(path) -> EvalReport:
@@ -40,7 +37,8 @@ def read_per_seed_csv(path) -> EvalReport:
             if header != ["seed", "method", "cohort", "auroc", "fpr95"]:
                 raise DataError(f"{path}: not a per-seed metrics table")
             for seed, method, cohort, a, f in reader:
-                rows.append((int(seed), method, cohort, float(a), float(f)))
+                rows.append((int(seed), method, cohort, finite_float(a),
+                             finite_float(f)))
     except OSError as exc:
         raise DataError(f"cannot read per-seed table {path}: {exc}") from exc
     except ValueError as exc:
@@ -50,14 +48,25 @@ def read_per_seed_csv(path) -> EvalReport:
 
     by_display = {v: k for k, v in DISPLAY_NAMES.items()}
     methods, cohorts, per_seed = [], [], {}
-    n_seeds = max(r[0] for r in rows) + 1
+    seeds = [r[0] for r in rows]
+    if min(seeds) < 0:
+        raise DataError(f"{path}: negative seed {min(seeds)}")
+    n_seeds = max(seeds) + 1
     for seed, method_disp, cohort, a, f in rows:
         method = by_display.get(method_disp, method_disp)
+        if method not in DISPLAY_NAMES:
+            raise DataError(f"{path}: unknown method {method_disp!r}")
         if method not in methods:
             methods.append(method)
         if cohort not in cohorts:
             cohorts.append(cohort)
         per_seed.setdefault((method, cohort), [None] * n_seeds)[seed] = (a, f)
+    for method in methods:
+        for cohort in cohorts:
+            vals = per_seed.get((method, cohort), [None] * n_seeds)
+            if None in vals:
+                raise DataError(f"{path}: no row for seed {vals.index(None)}, "
+                                f"method {DISPLAY_NAMES[method]}, cohort {cohort}")
     results = {
         key: MethodCohortResult(per_seed=tuple(vals))
         for key, vals in per_seed.items()
@@ -66,21 +75,28 @@ def read_per_seed_csv(path) -> EvalReport:
                       results=results, protocol={"n_seeds": n_seeds})
 
 
-def write_summary_csv(report: EvalReport, path) -> None:
-    header = ["method"]
-    for cohort in report.cohorts:
+def _write_metric_table(path, first_column: str, cohorts, rows) -> None:
+    """rows: (label, one result per cohort); mean/std columns per metric."""
+    header = [first_column]
+    for cohort in cohorts:
         header += [f"{cohort}_auroc_mean", f"{cohort}_auroc_std",
                    f"{cohort}_fpr95_mean", f"{cohort}_fpr95_std"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for method in report.methods:
-            row = [DISPLAY_NAMES[method]]
-            for cohort in report.cohorts:
-                r = report.results[(method, cohort)]
+        for label, results in rows:
+            row = [label]
+            for r in results:
                 row += [f"{r.auroc_mean:.2f}", f"{r.auroc_std:.2f}",
                         f"{r.fpr95_mean:.2f}", f"{r.fpr95_std:.2f}"]
             writer.writerow(row)
+
+
+def write_summary_csv(report: EvalReport, path) -> None:
+    _write_metric_table(path, "method", report.cohorts, [
+        (DISPLAY_NAMES[m], [report.results[(m, c)] for c in report.cohorts])
+        for m in report.methods
+    ])
 
 
 def render_summary_text(report: EvalReport) -> str:
@@ -112,20 +128,8 @@ def write_summary_text(report: EvalReport, path) -> None:
 
 def write_ablation_csv(stage_reports: dict[str, EvalReport], path) -> None:
     """One row per stage; column pairs per OOD cohort (rf_deep only)."""
-    stages = list(stage_reports)
-    cohorts = stage_reports[stages[0]].cohorts
-    header = ["stage"]
-    for cohort in cohorts:
-        header += [f"{cohort}_auroc_mean", f"{cohort}_auroc_std",
-                   f"{cohort}_fpr95_mean", f"{cohort}_fpr95_std"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for stage in stages:
-            rep = stage_reports[stage]
-            row = [stage]
-            for cohort in cohorts:
-                r = rep.results[("rf_deep", cohort)]
-                row += [f"{r.auroc_mean:.2f}", f"{r.auroc_std:.2f}",
-                        f"{r.fpr95_mean:.2f}", f"{r.fpr95_std:.2f}"]
-            writer.writerow(row)
+    cohorts = next(iter(stage_reports.values())).cohorts
+    _write_metric_table(path, "stage", cohorts, [
+        (stage, [rep.results[("rf_deep", c)] for c in cohorts])
+        for stage, rep in stage_reports.items()
+    ])

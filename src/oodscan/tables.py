@@ -7,17 +7,26 @@ computations always serialize to identical bytes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .regions import FeatureVector
 
 
-def _fmt(v: float) -> str:
+def format_float(v: float) -> str:
+    """Shortest round-trip form, so equal floats give equal bytes."""
     return repr(float(v))
+
+
+def finite_float(text: str) -> float:
+    """``float(text)`` that also rejects nan and infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -28,35 +37,17 @@ class FeatureTable:
     scan_ids: tuple[str, ...]
     labels: tuple[str, ...]
     crop_indices: tuple[int, ...]
-    values: np.ndarray  # (rows, features)
+    values: np.ndarray  # (rows, features), all finite
+
+    def __post_init__(self):
+        finite = np.isfinite(self.values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite {self.kind} features in a row of scan "
+                             f"{self.scan_ids[int(finite.argmin())]!r}")
 
     def select_columns(self, keep: list[int]) -> "FeatureTable":
-        return FeatureTable(
-            kind=self.kind,
-            names=tuple(self.names[i] for i in keep),
-            scan_ids=self.scan_ids,
-            labels=self.labels,
-            crop_indices=self.crop_indices,
-            values=self.values[:, keep],
-        )
-
-
-def table_from_vectors(kind: str, vectors: list[FeatureVector],
-                       labels_by_scan: dict[str, str]) -> FeatureTable:
-    if not vectors:
-        raise DataError("no feature vectors to tabulate")
-    names = vectors[0].names
-    for v in vectors:
-        if v.names != names:
-            raise DataError("inconsistent feature names across scans")
-    return FeatureTable(
-        kind=kind,
-        names=names,
-        scan_ids=tuple(v.scan_id for v in vectors),
-        labels=tuple(labels_by_scan[v.scan_id] for v in vectors),
-        crop_indices=tuple(v.crop_index for v in vectors),
-        values=np.stack([v.values for v in vectors]),
-    )
+        return replace(self, names=tuple(self.names[i] for i in keep),
+                       values=self.values[:, keep])
 
 
 def write_feature_table(table: FeatureTable, path) -> None:
@@ -65,7 +56,7 @@ def write_feature_table(table: FeatureTable, path) -> None:
         writer.writerow(["scan_id", "cohort_label", "crop_index", *table.names])
         for sid, label, crop, row in zip(table.scan_ids, table.labels,
                                          table.crop_indices, table.values):
-            writer.writerow([sid, label, crop, *(_fmt(v) for v in row)])
+            writer.writerow([sid, label, crop, *(format_float(v) for v in row)])
 
 
 def read_feature_table(path, kind: str) -> FeatureTable:
@@ -79,19 +70,22 @@ def read_feature_table(path, kind: str) -> FeatureTable:
             names = tuple(header[3:])
             scan_ids, labels, crops, values = [], [], [], []
             for line in reader:
+                if len(line) != len(header):
+                    raise DataError(f"{path}: line {reader.line_num} has "
+                                    f"{len(line)} fields, the header {len(header)}")
                 scan_ids.append(line[0])
                 labels.append(line[1])
                 crops.append(int(line[2]))
                 values.append([float(v) for v in line[3:]])
+        if not scan_ids:
+            raise DataError(f"{path}: empty feature table")
+        return FeatureTable(kind=kind, names=names, scan_ids=tuple(scan_ids),
+                            labels=tuple(labels), crop_indices=tuple(crops),
+                            values=np.array(values, dtype=np.float64))
     except OSError as exc:
         raise DataError(f"cannot read feature table {path}: {exc}") from exc
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: malformed feature table: {exc}") from exc
-    if not scan_ids:
-        raise DataError(f"{path}: empty feature table")
-    return FeatureTable(kind=kind, names=names, scan_ids=tuple(scan_ids),
-                        labels=tuple(labels), crop_indices=tuple(crops),
-                        values=np.array(values, dtype=np.float64))
 
 
 def write_scores_csv(rows: list, path) -> None:
@@ -100,7 +94,7 @@ def write_scores_csv(rows: list, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["scan_id", "cohort_label", "method", "value", "fallback_used"])
         for sid, label, method, value, fb in rows:
-            writer.writerow([sid, label, method, _fmt(value), int(fb)])
+            writer.writerow([sid, label, method, format_float(value), int(fb)])
 
 
 def read_scores_csv(path) -> dict[str, dict[str, float]]:
@@ -113,7 +107,7 @@ def read_scores_csv(path) -> dict[str, dict[str, float]]:
             if header is None or header[0] != "scan_id":
                 raise DataError(f"{path}: not a score table")
             for sid, _label, method, value, _fb in reader:
-                out.setdefault(method, {})[sid] = float(value)
+                out.setdefault(method, {})[sid] = finite_float(value)
     except OSError as exc:
         raise DataError(f"cannot read scores {path}: {exc}") from exc
     except ValueError as exc:

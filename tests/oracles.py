@@ -93,3 +93,38 @@ def brute_force_shapley(node, x, n_features: int) -> np.ndarray:
                 gain = tree_value(node, x, set(subset) | {i}) - tree_value(node, x, set(subset))
                 phi[i] += weight * gain
     return phi
+
+
+# --- masked multi-scale features ------------------------------------------
+
+def full_volume_crop_features(stages, factors, mask, crops) -> np.ndarray:
+    """Deep feature rows the direct way, one crop at a time: zero the mask
+    outside the crop, max-pool the whole volume onto each stage grid, then
+    take the stage cells [floor(o/f), ceil((o+s)/f)) and their masked
+    per-channel means (the whole window's means when no cell is masked).
+
+    ``stages`` are (C, z, y, x) arrays, ``crops`` (origin, size) pairs.
+    """
+    rows = []
+    for origin, size in crops:
+        box = tuple(slice(o, o + s) for o, s in zip(origin, size))
+        cropped = np.zeros(mask.shape, dtype=bool)
+        cropped[box] = mask[box] > 0
+        row, fallback = [], False
+        for data, f in zip(stages, factors):
+            grid = data.shape[1:]
+            padded = np.zeros([g * f for g in grid], dtype=bool)
+            padded[tuple(slice(0, d) for d in mask.shape)] = cropped
+            pooled = padded.reshape(grid[0], f, grid[1], f, grid[2], f).any(axis=(1, 3, 5))
+            cells = tuple(slice(o // f, min(-(-(o + s) // f), g))
+                          for o, s, g in zip(origin, size, grid))
+            window = data[(slice(None),) + cells].astype(np.float64)
+            sel = pooled[cells]
+            if sel.any():
+                row.extend(window[:, sel].mean(axis=1))
+            else:
+                fallback = True
+                row.extend(window.reshape(len(window), -1).mean(axis=1))
+        row.append(1.0 if fallback else 0.0)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)

@@ -1,10 +1,17 @@
 import csv
 import json
+import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from oodscan.cli import main
 from oodscan.config import load_config
+from oodscan.encoder import ToyEncoderConfig, toy_encode
+from oodscan.ovf import read_ovf, write_ovf
+from oodscan.volumes import Grid
 
 
 def write_config(directory: Path, **overrides) -> Path:
@@ -98,6 +105,108 @@ def test_wrong_shaped_pyramid_stage_fails_in_extract_naming_scan(tmp_path, capsy
     assert "SB1" in err
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    assert main(["pipeline", "--config", str(write_config(root))]) == 0
+    return root
+
+
+def _edit_field(line_no: int, field: int, value: str | None):
+    """Set (or, with None, drop) one field of one CSV line."""
+    def edit(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        fields = lines[line_no].rstrip("\n").split(",")
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        lines[line_no] = ",".join(fields) + "\n"
+        return "".join(lines)
+    return edit
+
+
+def _drop_trees(text: str) -> str:
+    doc = json.loads(text)
+    del doc["trees"]
+    return json.dumps(doc)
+
+
+def _rename_first_feature(text: str) -> str:
+    doc = json.loads(text)
+    doc["feature_names"][0] = "other"
+    return json.dumps(doc)
+
+
+def _drop_seed_0(text: str) -> str:
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("0,"))
+
+
+def _seed_1_to_minus_1(text: str) -> str:
+    return text.replace("\n1,", "\n-1,")
+
+
+@pytest.mark.parametrize("command, name, corrupt", [
+    pytest.param("explain", "rf_deep.model.json", _drop_trees, id="model-without-trees"),
+    pytest.param("explain", "rf_deep.model.json", _rename_first_feature,
+                 id="model-of-other-columns"),
+    pytest.param("report", "per_seed.csv", _drop_seed_0, id="per-seed-missing-seed"),
+    pytest.param("report", "per_seed.csv", _seed_1_to_minus_1, id="per-seed-negative-seed"),
+    pytest.param("report", "per_seed.csv", _edit_field(1, 3, "nan"), id="per-seed-nan"),
+    pytest.param("report", "per_seed.csv", _edit_field(1, 1, "RF-Other"),
+                 id="per-seed-unknown-method"),
+    pytest.param("eval", "scores.csv", _edit_field(1, 3, "nan"), id="scores-nan"),
+    pytest.param("train", "features_deep.csv", _edit_field(2, 5, "nan"), id="features-nan"),
+    pytest.param("train", "features_deep.csv", _edit_field(2, -1, None),
+                 id="features-short-row"),
+])
+def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, capsys,
+                                                      command, name, corrupt):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    victim = run / "work" / name
+    victim.write_text(corrupt(victim.read_text()))
+
+    code = main([command, "--config", str(run / "config.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"stage={command}" in err
+    assert name in err
+
+
+def _sb4_with_16_channels(work: Path) -> None:
+    # a valid SB4 stage with 16 channels where every other scan has 8
+    victim = work / "kidney_0002_p4.ovf"
+    sb4 = read_ovf(victim)
+    write_ovf(Grid(np.zeros((16, *sb4.dims), dtype=np.float32), sb4.spacing), victim)
+
+
+def _pyramid_of_24_cube(work: Path) -> None:
+    # five mutually consistent stage files, but of a 24^3 volume, not 16^3
+    other = toy_encode(Grid(np.zeros((24, 24, 24), dtype=np.float32)),
+                       ToyEncoderConfig(patch_size=2, widths=(4, 4, 8, 8, 8)))
+    for i, stage in enumerate(other.stages):
+        write_ovf(stage, work / f"kidney_0002_p{i}.ovf")
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    pytest.param(_sb4_with_16_channels, ("kidney_0002",), id="other-channel-count"),
+    pytest.param(_pyramid_of_24_cube, ("kidney_0002", "PE"), id="other-volume-size"),
+])
+def test_mismatched_pyramid_fails_in_extract_naming_scan(finished_run, tmp_path, capsys,
+                                                         corrupt, named):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    corrupt(run / "work")
+
+    code = main(["extract", "--config", str(run / "config.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "stage=extract" in err
+    for text in named:
+        assert text in err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -110,6 +219,7 @@ def test_config_error_exit_code(tmp_path):
 def test_config_hash_semantics(tmp_path):
     cfg_path = write_config(tmp_path)
     base = load_config(cfg_path).config_hash()
+    assert base == "54012f0457fc6cac4850a7a1ca9a6f791e9e5881612cc517217843f3c9e57657"
 
     # reordering keys and reformatting whitespace changes nothing
     doc = json.loads(cfg_path.read_text())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oodscan.errors import DataError
-from oodscan.manifest import load_manifest, load_pyramid, save_manifest
+from oodscan.manifest import load_manifest, load_pyramid, load_volume, save_manifest
 from oodscan.ovf import write_ovf
 from oodscan.volumes import Grid
 
@@ -88,4 +88,4 @@ def test_load_pyramid_requires_encode(tmp_path):
     rec = write_scan_files(tmp_path, "s5")
     m = load_manifest(write_manifest(tmp_path, [rec]))
     with pytest.raises(DataError, match="encode"):
-        load_pyramid(m.records[0], (1.0, 1.0, 1.0))
+        load_pyramid(m.records[0], load_volume(m.records[0]))

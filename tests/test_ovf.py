@@ -116,7 +116,7 @@ def write_stage_files(tmp_path, base_spacing, rng):
 def test_pyramid_stage_round_trip_preserves_factors(tmp_path):
     rec, stages, factors = write_stage_files(tmp_path, (1.0, 1.0, 1.0),
                                              np.random.default_rng(0))
-    back = load_pyramid(rec, (1.0, 1.0, 1.0))
+    back = load_pyramid(rec, Grid(np.zeros((32, 32, 32), dtype=np.float32)))
     assert back.factors == factors
     assert back.volume_dims == (32, 32, 32)
     for a, b in zip(back.stages, stages):
@@ -126,7 +126,8 @@ def test_pyramid_stage_round_trip_preserves_factors(tmp_path):
 def test_factor_recovery_with_anisotropic_spacing(tmp_path):
     base = (0.7, 1.3, 2.1)
     rec, _, factors = write_stage_files(tmp_path, base, np.random.default_rng(1))
-    assert load_pyramid(rec, base).factors == factors
+    volume = Grid(np.zeros((32, 32, 32), dtype=np.float32), base)
+    assert load_pyramid(rec, volume).factors == factors
 
 
 def test_logit_channel_check(tmp_path):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oodscan.regions import (
+    EMPTY_MASK_FEATURE,
     CropBox,
     connected_components,
+    deep_feature_names,
     deep_feature_vector,
     downsample_mask_to_stage,
     masked_mean,
@@ -12,7 +14,8 @@ from oodscan.regions import (
 )
 from oodscan.rng import SplitMix64, derive
 from oodscan.encoder import ToyEncoderConfig, toy_encode
-from oodscan.volumes import Grid
+from oodscan.volumes import FeaturePyramid, Grid
+from oracles import full_volume_crop_features
 
 
 def mask_from(dims, voxels):
@@ -85,7 +88,7 @@ def test_empty_mask_uses_volume_center():
 
 def test_single_voxel_survives_any_factor():
     m = mask_from((16, 16, 16), [(9, 3, 14)])
-    stage = downsample_mask_to_stage(m, 8)
+    stage = downsample_mask_to_stage(m.data, 8)
     assert stage.shape == (2, 2, 2)
     assert stage.sum() == 1
     assert stage[1, 0, 1]
@@ -93,12 +96,12 @@ def test_single_voxel_survives_any_factor():
 
 def test_factor_one_is_identity():
     m = mask_from((4, 4, 4), [(1, 2, 3)])
-    assert np.array_equal(downsample_mask_to_stage(m, 1), m.data.astype(bool))
+    assert np.array_equal(downsample_mask_to_stage(m.data, 1), m.data.astype(bool))
 
 
 def test_full_block_reduces_to_one():
     m = Grid(np.ones((2, 2, 2), dtype=np.uint8))
-    stage = downsample_mask_to_stage(m, 2)
+    stage = downsample_mask_to_stage(m.data, 2)
     assert stage.shape == (1, 1, 1) and stage[0, 0, 0]
 
 
@@ -108,9 +111,8 @@ def test_nonempty_mask_stays_nonempty_at_every_factor(seed):
     data = (rng.random((8, 8, 8)) < 0.05).astype(np.uint8)
     if data.sum() == 0:
         data[tuple(rng.integers(0, 8, 3))] = 1
-    m = Grid(data)
     for factor in (2, 4, 8):
-        assert downsample_mask_to_stage(m, factor).any()
+        assert downsample_mask_to_stage(data, factor).any()
 
 
 # --- masked means -----------------------------------------------------------
@@ -149,7 +151,7 @@ def test_full_mask_equals_global_mean(seed):
     assert values == pytest.approx(data.reshape(4, -1).mean(axis=1))
 
 
-# --- deep feature vectors ---------------------------------------------------
+# --- deep feature rows ------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def scan():
@@ -166,15 +168,16 @@ def scan():
 def test_vector_length_and_slices(scan):
     _, mask, pyramid = scan
     crops = tumor_crops(mask, k=2, crop_size=(16, 16, 16), jitter_radius=2, seed=4)
-    vecs = deep_feature_vector(pyramid, mask, crops, scan_id="s")
-    assert len(vecs) == 2
-    v = vecs[0]
-    widths_total = sum(b - a for a, b in v.stage_slices.values())
+    rows = deep_feature_vector(pyramid, mask, crops)
+    names = deep_feature_names(pyramid)
+    assert rows.shape[0] == 2
+    assert rows.dtype == np.float64
+    widths_total = sum(1 for n in names if n != EMPTY_MASK_FEATURE)
     assert widths_total == 8 + 8 + 16 + 32 + 64 == 128
-    assert len(v.names) == 129  # stage features + empty_mask flag
-    assert v.names[-1] == "empty_mask"
-    assert v.values[-1] == 0.0
-    assert v.names[v.stage_slices["SB4"][0]] == "SB4_000"
+    assert len(names) == rows.shape[1] == 129  # stage features + empty_mask flag
+    assert names[-1] == "empty_mask"
+    assert rows[0, -1] == 0.0
+    assert names[8 + 8 + 16 + 32] == "SB4_000"
 
 
 def test_constant_pyramid_gives_constant_features(scan):
@@ -184,37 +187,68 @@ def test_constant_pyramid_gives_constant_features(scan):
     const_pyr = type(pyramid)(volume_dims=pyramid.volume_dims,
                               stages=const_stages, factors=pyramid.factors)
     crops = tumor_crops(mask, k=3, crop_size=(16, 16, 16), jitter_radius=2, seed=9)
-    for v in deep_feature_vector(const_pyr, mask, crops, scan_id="s"):
-        assert np.allclose(v.values[:-1], 0.625)
+    for row in deep_feature_vector(const_pyr, mask, crops):
+        assert np.allclose(row[:-1], 0.625)
 
 
 def test_full_volume_crop_equals_whole_scan_means(scan):
     _, mask, pyramid = scan
     crop = CropBox(origin=(0, 0, 0), size=(32, 32, 32))
-    v = deep_feature_vector(pyramid, mask, [crop], scan_id="s")[0]
+    row = deep_feature_vector(pyramid, mask, [crop])[0]
     expect = []
     for stage, factor in zip(pyramid.stages, pyramid.factors):
-        stage_mask = downsample_mask_to_stage(mask, factor)
+        stage_mask = downsample_mask_to_stage(mask.data, factor)
         values, _ = masked_mean(stage.data, stage_mask)
         expect.append(values)
-    assert np.allclose(v.values[:-1], np.concatenate(expect))
+    assert np.allclose(row[:-1], np.concatenate(expect))
 
 
 def test_invariant_to_mask_outside_crop(scan):
     _, mask, pyramid = scan
     crops = [CropBox(origin=(8, 8, 8), size=(16, 16, 16))]
-    base = deep_feature_vector(pyramid, mask, crops, scan_id="s")[0]
+    base = deep_feature_vector(pyramid, mask, crops)[0]
     mutated = mask.data.copy()
     mutated[0:4, 0:4, 0:4] = 1  # far away from the crop
     far = Grid(mutated)
-    out = deep_feature_vector(pyramid, far, crops, scan_id="s")[0]
-    assert np.array_equal(base.values, out.values)
+    out = deep_feature_vector(pyramid, far, crops)[0]
+    assert np.array_equal(base, out)
 
 
 def test_empty_crop_sets_flag_and_stays_finite(scan):
     _, _, pyramid = scan
     empty = Grid(np.zeros((32, 32, 32), dtype=np.uint8))
     crops = [CropBox(origin=(0, 0, 0), size=(8, 8, 8))]
-    v = deep_feature_vector(pyramid, empty, crops, scan_id="s")[0]
-    assert v.values[-1] == 1.0
-    assert np.all(np.isfinite(v.values))
+    row = deep_feature_vector(pyramid, empty, crops)[0]
+    assert row[-1] == 1.0
+    assert np.all(np.isfinite(row))
+
+
+@given(st.data())
+def test_rows_equal_full_volume_oracle_bit_for_bit(data):
+    # dims mostly not divisible by the factors; crops at random places,
+    # clamped at the volume edge by tumor_crops, and in the far corner
+    dims = tuple(data.draw(st.integers(3, 19), label="dim") for _ in range(3))
+    factors = sorted(data.draw(st.sets(st.integers(1, 9), min_size=5, max_size=5),
+                               label="factors"))
+    density = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mask = Grid((rng.random(dims) < density).astype(np.uint8))
+    stages = tuple(
+        Grid(rng.normal(size=(c, *(-(-d // f) for d in dims))).astype(np.float32))
+        for c, f in zip((1, 2, 2, 3, 5), factors)
+    )
+    pyramid = FeaturePyramid(volume_dims=dims, stages=stages, factors=factors)
+    size = tuple(data.draw(st.integers(1, d), label="size") for d in dims)
+    crops = [CropBox(origin=tuple(data.draw(st.integers(0, d - s), label="origin")
+                                  for d, s in zip(dims, size)), size=size),
+             CropBox(origin=tuple(d - s for d, s in zip(dims, size)), size=size)]
+    crops += tumor_crops(mask, k=3, crop_size=size, jitter_radius=3,
+                         seed=data.draw(st.integers(0, 99), label="crop seed"))
+
+    rows = deep_feature_vector(pyramid, mask, crops)
+    expect = full_volume_crop_features(
+        [s.data for s in stages], factors, mask.data,
+        [(c.origin, c.size) for c in crops],
+    )
+    assert rows.dtype == np.float64
+    assert rows.tobytes() == expect.tobytes()
