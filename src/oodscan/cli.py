@@ -1,19 +1,21 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 internal invariant
-violation. Stage failures print one machine-readable line to stderr:
-``error stage=<name> ...``.
+Exit codes: 0 success, 2 config error, 3 data error, 4 anything else (an
+internal invariant violation). Every failure ends in one machine-readable
+line on stderr: ``error stage=<name> <Type>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .config import load_config, replace_cohorts
-from .errors import ConfigError, DataError, InternalError
+from .errors import ConfigError, DataError
 from .pipeline import (
     PIPELINE_STAGES,
+    STAGES,
     StageError,
     run_ablate,
     run_explain,
@@ -40,16 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the configured work_dir")
         return p
 
-    gen = add("gen", "generate synthetic cohorts and a manifest")
-    gen.add_argument("--cohorts", default=None,
-                     help="standalone JSON array of cohort specs "
-                          "(overrides the config's cohorts)")
-    add("encode", "build feature pyramids for every scan")
-    add("extract", "write deep and radiomics feature tables")
-    add("score", "compute confidence-score baselines")
-    add("train", "fit forests on the full cohorts and save model files")
-    add("eval", "run the repeated-split protocol and write metric tables")
-    add("report", "render the summary table from per-seed metrics")
+    for stage in STAGES:
+        p = add(stage.name, stage.help)
+        if stage.name == "gen":
+            p.add_argument("--cohorts", default=None,
+                           help="standalone JSON array of cohort specs "
+                                "(overrides the config's cohorts)")
     add("ablate", "evaluate rf_deep per encoder stage")
     explain = add("explain", "write exact per-feature attributions")
     explain.add_argument("--kind", choices=("deep", "radiomics"), default="deep")
@@ -63,19 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stage = "config"
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           workdir_override=args.workdir,
                           threads_override=args.threads)
         if getattr(args, "cohorts", None):
             cfg = replace_cohorts(cfg, args.cohorts)
-    except ConfigError as exc:
-        print(f"error stage=config {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        stage = args.command
         if args.command in PIPELINE_STAGES:
-            run_stage(cfg, args.command)
+            run_stage(cfg, STAGES[PIPELINE_STAGES.index(args.command)])
         elif args.command == "ablate":
             path = run_ablate(cfg)
             print(f"ablation table written to {path}")
@@ -90,24 +85,14 @@ def main(argv=None) -> int:
             if skipped:
                 print(f"skipped (up to date): {' '.join(skipped)}")
         return 0
-    except StageError as exc:
-        print(f"error {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
-            return 2
-        if isinstance(cause, DataError):
-            return 3
-        return 4
-    except ConfigError as exc:
-        print(f"error stage={args.command} {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error stage={args.command} {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"error stage={args.command} internal invariant violated: {exc}",
-              file=sys.stderr)
-        return 4
+    except Exception as exc:
+        if isinstance(exc, StageError):
+            stage, exc = exc.stage, exc.cause
+        code = 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
+        if code == 4:  # a defect, not bad input: keep the traceback
+            traceback.print_exception(exc)
+        print(f"error stage={stage} {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -184,7 +184,6 @@ def make_cohort(specs: list[CohortSpec], out_dir, map_fn=map) -> CohortManifest:
         dataset_name="+".join(names),
         records=tuple(records),
         provenance=provenance,
-        path=out_dir / "manifest.json",
     )
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest

@@ -9,6 +9,7 @@ and location fields (work_dir, manifest path) are excluded.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -73,9 +74,13 @@ class RunConfig:
             del doc[key]
         return doc
 
-    def config_hash(self) -> str:
-        canon = json.dumps(self.canonical_dict(), sort_keys=True,
-                           separators=(",", ":"))
+    def config_hash(self, fields: tuple[str, ...] | None = None) -> str:
+        """Hash of the whole semantic config, or of the dotted ``fields`` only."""
+        doc = self.canonical_dict()
+        if fields is not None:
+            doc = {f: functools.reduce(dict.__getitem__, f.split("."), doc)
+                   for f in fields}
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

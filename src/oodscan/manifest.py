@@ -1,20 +1,22 @@
 """Cohort manifests: which scans exist, where their tensors live, ID/OOD labels.
 
 Manifests are JSON; artifact paths are stored relative to the manifest file
-so a cohort directory can be moved wholesale. Loading validates eagerly and
-names the offending scan_id on failure.
+so a cohort directory can be moved wholesale. Loading checks the records
+(unique ids, known labels, artifact keys); the per-scan loaders parse each
+tensor when a stage reads it, and every failure names the offending scan_id.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ovf import read_ovf, validate_ovf
+from .ovf import read_ovf
 from .volumes import STAGE_IDS, FeaturePyramid, Grid
 
 COHORT_LABELS = ("ID", "OOD")
@@ -36,7 +38,6 @@ class CohortManifest:
     dataset_name: str
     records: tuple[ScanRecord, ...]
     provenance: dict | None = None
-    path: Path | None = None
 
     def cohort_names(self, label: str | None = None) -> list[str]:
         """Cohort names in first-appearance order, optionally by label."""
@@ -52,7 +53,7 @@ class CohortManifest:
         return [r for r in self.records if r.cohort_name == cohort_name]
 
 
-def load_manifest(path, validate: bool = True) -> CohortManifest:
+def load_manifest(path) -> CohortManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -96,30 +97,11 @@ def load_manifest(path, validate: bool = True) -> CohortManifest:
             raise DataError(f"scan {sid!r}: missing artifact key {exc}") from exc
         records.append(rec)
 
-    manifest = CohortManifest(
+    return CohortManifest(
         dataset_name=doc["dataset_name"],
         records=tuple(records),
         provenance=doc.get("provenance"),
-        path=path,
     )
-    if validate:
-        validate_manifest(manifest)
-    return manifest
-
-
-def validate_manifest(manifest: CohortManifest) -> None:
-    """Every referenced tensor file must exist and parse structurally."""
-    for rec in manifest.records:
-        paths = [rec.volume, rec.mask, rec.logits]
-        if rec.pyramid is not None:
-            paths.extend(rec.pyramid)
-        for p in paths:
-            if not Path(p).is_file():
-                raise DataError(f"scan {rec.scan_id!r}: missing artifact file {p}")
-            try:
-                validate_ovf(p)
-            except DataError as exc:
-                raise DataError(f"scan {rec.scan_id!r}: {exc}") from exc
 
 
 def save_manifest(manifest: CohortManifest, path) -> None:
@@ -146,25 +128,38 @@ def save_manifest(manifest: CohortManifest, path) -> None:
     }
     if manifest.provenance is not None:
         doc["provenance"] = manifest.provenance
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    text = json.dumps(doc, indent=2) + "\n"
+    # equal bytes keep the old mtime, so stages that read the manifest stay fresh
+    if path.is_file() and path.read_text() == text:
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _read(rec: ScanRecord, path) -> Grid:
+    try:
+        return read_ovf(path)
+    except DataError as exc:
+        raise DataError(f"scan {rec.scan_id!r}: {exc}") from exc
 
 
 def load_volume(rec: ScanRecord) -> Grid:
-    vol = read_ovf(rec.volume)
+    vol = _read(rec, rec.volume)
     if vol.data.ndim != 3 or vol.data.dtype != np.float32:
         raise DataError(f"scan {rec.scan_id!r}: {rec.volume} is not a scalar volume")
     return vol
 
 
 def load_mask(rec: ScanRecord) -> Grid:
-    mask = read_ovf(rec.mask)
+    mask = _read(rec, rec.mask)
     if mask.data.dtype != np.uint8:
         raise DataError(f"scan {rec.scan_id!r}: {rec.mask} is not a mask")
     return mask
 
 
 def load_logits(rec: ScanRecord) -> Grid:
-    logits = read_ovf(rec.logits)
+    logits = _read(rec, rec.logits)
     if logits.data.ndim != 4 or logits.channels != 2:
         raise DataError(f"scan {rec.scan_id!r}: {rec.logits} is not a 2-channel logit tensor")
     return logits
@@ -181,7 +176,7 @@ def load_pyramid(rec: ScanRecord, volume: Grid) -> FeaturePyramid:
         raise DataError(f"scan {rec.scan_id!r}: no pyramid in manifest (run encode first)")
     stages, factors = [], []
     for p in rec.pyramid:
-        grid = read_ovf(p)
+        grid = _read(rec, p)
         ratios = [g / b for g, b in zip(grid.spacing, volume.spacing)]
         factor = int(round(ratios[0]))
         if factor < 1 or any(abs(r - factor) > 0.01 * factor for r in ratios):

@@ -97,8 +97,3 @@ def read_ovf(path) -> Grid:
         return Grid(data, spacing)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def validate_ovf(path) -> None:
-    """Cheap structural check: header parses and payload length matches."""
-    read_ovf(path)

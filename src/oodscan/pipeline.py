@@ -1,16 +1,19 @@
-"""Pipeline stages and orchestration with content-hash idempotence.
+"""Pipeline stages, declared once in ``STAGES``, and their orchestration.
 
-Each stage writes its outputs plus a stamp file recording the config hash;
-`pipeline` skips a stage when its stamp matches the current hash and all
-declared outputs still exist. Stage failures surface as StageError with the
-stage name prefixed, so the CLI can emit one machine-readable error line.
+After a stage runs, its stamp records the hash of its config slice and the
+``[size, mtime_ns]`` of every file it read; `pipeline` skips a stage when
+its stamp equals the one it would write now and all its outputs exist.
+Stage failures surface as StageError carrying the stage name.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import os
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .tables import (
 )
 from .treeshap import tree_shap
 
+
 class StageError(OodscanError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage={stage}: {cause}")
@@ -77,45 +81,41 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
     }
 
 
-def _stamp_path(cfg: RunConfig, stage: str) -> Path:
-    return cfg.work_dir / ".stamps" / f"{stage}.json"
+def _labelled_table(cfg: RunConfig, manifest: CohortManifest, kind: str) -> FeatureTable:
+    """Read a feature table whose every row's cohort_label matches the manifest."""
+    path = _paths(cfg)[kind]
+    table = read_feature_table(path, kind)
+    labels = {r.scan_id: r.cohort_label for r in manifest.records}
+    for sid, label in zip(table.scan_ids, table.labels):
+        if labels.get(sid) != label:
+            raise DataError(f"{path}: scan {sid!r} is labelled {label!r}, "
+                            f"the manifest says {labels.get(sid)!r}")
+    return table
 
 
-def write_stamp(cfg: RunConfig, stage: str, outputs: list[Path]) -> None:
-    p = _stamp_path(cfg, stage)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps({
-        "stage": stage,
-        "config_hash": cfg.config_hash(),
-        "outputs": [str(o) for o in outputs],
-    }, indent=2) + "\n")
+def _split_eval(cfg: RunConfig, manifest: CohortManifest, methods, **tables):
+    """The repeated-split protocol as ``cfg`` sets it, over the given tables."""
+    return repeated_split_eval(
+        manifest,
+        methods=methods,
+        rf_params=cfg.forest,
+        rfe_target=cfg.rfe_target,
+        rfe_step=cfg.rfe_step,
+        train_frac=cfg.protocol.train_frac,
+        n_seeds=cfg.protocol.n_seeds,
+        base_seed=cfg.protocol.base_seed,
+        map_fn=make_map_fn(cfg.threads),
+        **tables,
+    )
 
 
-def stamp_is_fresh(cfg: RunConfig, stage: str) -> bool:
-    p = _stamp_path(cfg, stage)
-    if not p.is_file():
-        return False
-    try:
-        doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    if doc.get("config_hash") != cfg.config_hash():
-        return False
-    return all(Path(o).exists() for o in doc.get("outputs", []))
-
-
-def stage_gen(cfg: RunConfig) -> list[Path]:
+def stage_gen(cfg: RunConfig) -> None:
     if not cfg.cohorts:
         raise DataError("config lists no cohorts to generate")
-    manifest = make_cohort(list(cfg.cohorts), cfg.work_dir,
-                           map_fn=make_map_fn(cfg.threads))
-    outputs = [cfg.manifest]
-    for rec in manifest.records:
-        outputs += [rec.volume, rec.mask, rec.logits]
-    return outputs
+    make_cohort(list(cfg.cohorts), cfg.work_dir, map_fn=make_map_fn(cfg.threads))
 
 
-def stage_encode(cfg: RunConfig) -> list[Path]:
+def stage_encode(cfg: RunConfig) -> None:
     manifest = load_manifest(cfg.manifest)
     map_fn = make_map_fn(cfg.threads)
 
@@ -127,21 +127,13 @@ def stage_encode(cfg: RunConfig) -> list[Path]:
             p = cfg.work_dir / f"{rec.scan_id}_p{i}.ovf"
             write_ovf(stage, p)
             paths.append(p)
-        return ScanRecord(**{**rec.__dict__, "pyramid": tuple(paths)})
+        return dataclasses.replace(rec, pyramid=tuple(paths))
 
-    records = map_fn(encode_one, manifest.records)
-    updated = CohortManifest(dataset_name=manifest.dataset_name,
-                             records=tuple(records),
-                             provenance=manifest.provenance,
-                             path=manifest.path)
-    save_manifest(updated, cfg.manifest)
-    outputs = [cfg.manifest]
-    for rec in records:
-        outputs += list(rec.pyramid)
-    return outputs
+    records = tuple(map_fn(encode_one, manifest.records))
+    save_manifest(dataclasses.replace(manifest, records=records), cfg.manifest)
 
 
-def stage_extract(cfg: RunConfig) -> list[Path]:
+def stage_extract(cfg: RunConfig) -> None:
     manifest = load_manifest(cfg.manifest)
     base_seed = cfg.protocol.base_seed
     map_fn = make_map_fn(cfg.threads)
@@ -188,10 +180,9 @@ def stage_extract(cfg: RunConfig) -> list[Path]:
     write_feature_table(table("radiomics", RADIOMICS_NAMES, 1,
                               np.stack([rad for _, _, rad in results])),
                         paths["radiomics"])
-    return [paths["deep"], paths["radiomics"]]
 
 
-def stage_score(cfg: RunConfig) -> list[Path]:
+def stage_score(cfg: RunConfig) -> None:
     manifest = load_manifest(cfg.manifest)
     map_fn = make_map_fn(cfg.threads)
     configs = [ScoreConfig(method=m, temperature=cfg.temperature)
@@ -207,84 +198,56 @@ def stage_score(cfg: RunConfig) -> list[Path]:
         ]
 
     rows = [row for chunk in map_fn(score_one, manifest.records) for row in chunk]
-    paths = _paths(cfg)
-    write_scores_csv(rows, paths["scores"])
-    return [paths["scores"]]
+    write_scores_csv(rows, _paths(cfg)["scores"])
 
 
-def stage_train(cfg: RunConfig) -> list[Path]:
-    paths = _paths(cfg)
-    outputs = []
-    for kind, table_path, model_path in (
-        ("deep", paths["deep"], paths["model_deep"]),
-        ("radiomics", paths["radiomics"], paths["model_radiomics"]),
-    ):
-        table = read_feature_table(table_path, kind)
+def stage_train(cfg: RunConfig) -> None:
+    manifest = load_manifest(cfg.manifest)
+    for kind in ("deep", "radiomics"):
+        table = _labelled_table(cfg, manifest, kind)
         y = [1 if lbl == "OOD" else 0 for lbl in table.labels]
         forest = fit_forest(table.values, y, cfg.forest,
                             derive(cfg.protocol.base_seed, "train", kind),
                             feature_names=table.names)
-        save_model(forest, model_path)
-        outputs.append(model_path)
-    return outputs
+        save_model(forest, _paths(cfg)[f"model_{kind}"])
 
 
-def stage_eval(cfg: RunConfig) -> list[Path]:
+def stage_eval(cfg: RunConfig) -> None:
     paths = _paths(cfg)
-    manifest = load_manifest(cfg.manifest, validate=False)
-    deep = read_feature_table(paths["deep"], "deep")
-    radiomics = read_feature_table(paths["radiomics"], "radiomics")
+    manifest = load_manifest(cfg.manifest)
+    deep = _labelled_table(cfg, manifest, "deep")
+    radiomics = _labelled_table(cfg, manifest, "radiomics")
     baselines = read_scores_csv(paths["scores"])
-    report = repeated_split_eval(
-        manifest,
-        methods=METHOD_ORDER,
-        deep_table=deep,
-        radiomics_table=radiomics,
-        baseline_scores=baselines,
-        rf_params=cfg.forest,
-        rfe_target=cfg.rfe_target,
-        rfe_step=cfg.rfe_step,
-        train_frac=cfg.protocol.train_frac,
-        n_seeds=cfg.protocol.n_seeds,
-        base_seed=cfg.protocol.base_seed,
-        map_fn=make_map_fn(cfg.threads),
-    )
+    report = _split_eval(cfg, manifest, METHOD_ORDER, deep_table=deep,
+                         radiomics_table=radiomics, baseline_scores=baselines)
     write_per_seed_csv(report, paths["per_seed"])
     write_summary_csv(report, paths["summary_csv"])
     write_summary_text(report, paths["summary_txt"])
-    return [paths["per_seed"], paths["summary_csv"], paths["summary_txt"]]
 
 
-def stage_report(cfg: RunConfig) -> list[Path]:
+def stage_report(cfg: RunConfig) -> None:
     paths = _paths(cfg)
     report = read_per_seed_csv(paths["per_seed"])
+    if report.protocol["n_seeds"] != cfg.protocol.n_seeds:
+        raise DataError(f"{paths['per_seed']}: {report.protocol['n_seeds']} seeds, "
+                        f"protocol.n_seeds is {cfg.protocol.n_seeds}")
     write_summary_csv(report, paths["summary_csv"])
     write_summary_text(report, paths["summary_txt"])
     print(render_summary_text(report), end="")
-    return [paths["summary_csv"], paths["summary_txt"]]
 
 
 def run_ablate(cfg: RunConfig) -> Path:
     """Stage-wise evaluation: rf_deep restricted to one stage's features."""
     paths = _paths(cfg)
-    manifest = load_manifest(cfg.manifest, validate=False)
-    deep = read_feature_table(paths["deep"], "deep")
+    manifest = load_manifest(cfg.manifest)
+    deep = _labelled_table(cfg, manifest, "deep")
     stage_reports = {}
     for stage in cfg.ablate_stages:
         keep = [i for i, n in enumerate(deep.names) if n.startswith(f"{stage}_")]
         if not keep:
             raise DataError(f"deep feature table has no columns for stage {stage}")
-        sub = deep.select_columns(keep)
-        stage_reports[stage] = repeated_split_eval(
-            manifest,
-            methods=("rf_deep",),
-            deep_table=sub,
-            rf_params=cfg.forest,
-            train_frac=cfg.protocol.train_frac,
-            n_seeds=cfg.protocol.n_seeds,
-            base_seed=cfg.protocol.base_seed,
-            map_fn=make_map_fn(cfg.threads),
-        )
+        stage_reports[stage] = _split_eval(cfg, manifest, ("rf_deep",),
+                                           deep_table=deep.select_columns(keep))
     write_ablation_csv(stage_reports, paths["ablation"])
     return paths["ablation"]
 
@@ -292,8 +255,8 @@ def run_ablate(cfg: RunConfig) -> Path:
 def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) -> Path:
     """Exact per-feature attributions for every (scan, crop) row."""
     paths = _paths(cfg)
-    model_path = paths["model_deep"] if kind == "deep" else paths["model_radiomics"]
-    table = read_feature_table(paths[kind], kind)
+    model_path = paths[f"model_{kind}"]
+    table = _labelled_table(cfg, load_manifest(cfg.manifest), kind)
     forest = load_model(model_path)
     if forest.feature_names != table.names:
         raise DataError(f"model {model_path} was fit on other columns than {paths[kind]}")
@@ -313,38 +276,107 @@ def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) ->
     return out_path
 
 
-_STAGE_FNS = {  # in pipeline run order
-    "gen": stage_gen,
-    "encode": stage_encode,
-    "extract": stage_extract,
-    "score": stage_score,
-    "train": stage_train,
-    "eval": stage_eval,
-    "report": stage_report,
-}
-PIPELINE_STAGES = tuple(_STAGE_FNS)
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One pipeline stage and everything its stamp depends on.
+
+    ``config`` lists dotted RunConfig fields. A name in ``reads`` or
+    ``writes`` is a `_paths` key or a ScanRecord field; a field expands over
+    the manifest's records (``pyramid`` to its stage files).
+    """
+    name: str
+    help: str
+    run: Callable[[RunConfig], None]
+    config: tuple[str, ...]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
 
 
-def run_stage(cfg: RunConfig, stage: str) -> list[Path]:
-    cfg.work_dir.mkdir(parents=True, exist_ok=True)
+STAGES = (  # in pipeline run order
+    Stage("gen", "generate synthetic cohorts and a manifest", stage_gen,
+          ("cohorts",), (), ("manifest", "volume", "mask", "logits")),
+    Stage("encode", "build feature pyramids for every scan", stage_encode,
+          ("encoder",), ("manifest", "volume"), ("manifest", "pyramid")),
+    Stage("extract", "write deep and radiomics feature tables", stage_extract,
+          ("crops", "protocol.base_seed"), ("manifest", "volume", "mask", "pyramid"),
+          ("deep", "radiomics")),
+    Stage("score", "compute confidence-score baselines", stage_score,
+          ("temperature",), ("manifest", "mask", "logits"), ("scores",)),
+    Stage("train", "fit forests on the full cohorts and save model files", stage_train,
+          ("forest", "protocol.base_seed"), ("manifest", "deep", "radiomics"),
+          ("model_deep", "model_radiomics")),
+    Stage("eval", "run the repeated-split protocol and write metric tables", stage_eval,
+          ("forest", "protocol", "rfe_target", "rfe_step"),
+          ("manifest", "deep", "radiomics", "scores"),
+          ("per_seed", "summary_csv", "summary_txt")),
+    Stage("report", "render the summary table from per-seed metrics", stage_report,
+          ("protocol.n_seeds",), ("per_seed",), ("summary_csv", "summary_txt")),
+)
+PIPELINE_STAGES = tuple(s.name for s in STAGES)
+
+
+def _stamp(cfg: RunConfig, stage: Stage) -> tuple[dict, list[Path]]:
+    """The stamp ``stage`` would write now, and the paths it writes. Loads
+    the manifest at most once, and only when a name is a record field."""
+    paths = _paths(cfg)
+    records = ()
+    if not set(stage.reads + stage.writes) <= set(paths):
+        records = load_manifest(cfg.manifest).records
+
+    def expand(names) -> list[Path]:
+        out = []
+        for name in names:
+            if name in paths:
+                out.append(paths[name])
+                continue
+            for rec in records:
+                value = getattr(rec, name)
+                if value is None:
+                    raise DataError(f"scan {rec.scan_id!r}: manifest lists no {name}")
+                out.extend(value if isinstance(value, tuple) else (value,))
+        return out
+
+    root = f"{cfg.work_dir}{os.sep}"  # keys relative to it survive moving the work dir
+    signatures = {}
+    for p in expand(stage.reads):
+        st = p.stat()
+        signatures[str(p).removeprefix(root)] = [st.st_size, st.st_mtime_ns]
+    stamp = {"config_hash": cfg.config_hash(stage.config), "reads": signatures}
+    return stamp, expand(stage.writes)
+
+
+def _stamp_path(cfg: RunConfig, stage: Stage) -> Path:
+    return cfg.work_dir / ".stamps" / f"{stage.name}.json"
+
+
+def stamp_is_fresh(cfg: RunConfig, stage: Stage) -> bool:
     try:
-        outputs = _STAGE_FNS[stage](cfg)
+        doc = json.loads(_stamp_path(cfg, stage).read_text())
+        stamp, writes = _stamp(cfg, stage)
+        return doc == stamp and all(p.exists() for p in writes)
+    except (OSError, ValueError, DataError):
+        return False
+
+
+def run_stage(cfg: RunConfig, stage: Stage) -> None:
+    """Run one stage and stamp it; a stage that fails is left unstamped."""
+    stamp_path = _stamp_path(cfg, stage)
+    stamp_path.parent.mkdir(parents=True, exist_ok=True)
+    stamp_path.unlink(missing_ok=True)
+    try:
+        stage.run(cfg)
+        # taken after the run: encode rewrites the manifest it reads
+        stamp = _stamp(cfg, stage)[0]
     except Exception as exc:
-        raise StageError(stage, exc) from exc
-    write_stamp(cfg, stage, outputs)
-    return outputs
+        raise StageError(stage.name, exc) from exc
+    stamp_path.write_text(json.dumps(stamp, indent=2) + "\n")
 
 
 def run_pipeline(cfg: RunConfig, force: bool = False) -> list[str]:
-    """gen -> encode -> extract -> score -> train -> eval -> report.
-
-    Returns the list of stages that actually ran (others were skipped as
-    up to date).
-    """
+    """Run STAGES in order, skipping fresh ones unless ``force``; return those run."""
     ran = []
-    for stage in PIPELINE_STAGES:
-        if not force and stamp_is_fresh(cfg, stage):
-            continue
-        run_stage(cfg, stage)
-        ran.append(stage)
+    for stage in STAGES:
+        if force or not stamp_is_fresh(cfg, stage):
+            run_stage(cfg, stage)
+            ran.append(stage.name)
     return ran

@@ -60,7 +60,11 @@ def read_per_seed_csv(path) -> EvalReport:
             methods.append(method)
         if cohort not in cohorts:
             cohorts.append(cohort)
-        per_seed.setdefault((method, cohort), [None] * n_seeds)[seed] = (a, f)
+        vals = per_seed.setdefault((method, cohort), [None] * n_seeds)
+        if vals[seed] is not None:
+            raise DataError(f"{path}: duplicate row for seed {seed}, "
+                            f"method {method_disp}, cohort {cohort}")
+        vals[seed] = (a, f)
     for method in methods:
         for cohort in cohorts:
             vals = per_seed.get((method, cohort), [None] * n_seeds)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodscan.cli import main
+from oodscan import pipeline
+from oodscan.cli import build_parser, main
 from oodscan.config import load_config
 from oodscan.encoder import ToyEncoderConfig, toy_encode
 from oodscan.ovf import read_ovf, write_ovf
@@ -146,12 +148,26 @@ def _seed_1_to_minus_1(text: str) -> str:
     return text.replace("\n1,", "\n-1,")
 
 
+def _drop_seed_1(text: str) -> str:
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("1,"))
+
+
+def _duplicate_rf_deep_row(text: str) -> str:
+    return text + "0,RF-Deep,kidney,12.5,50.0\n"
+
+
+def _relabel_ood_as_id(text: str) -> str:
+    return text.replace(",OOD,", ",ID,")
+
+
 @pytest.mark.parametrize("command, name, corrupt", [
     pytest.param("explain", "rf_deep.model.json", _drop_trees, id="model-without-trees"),
     pytest.param("explain", "rf_deep.model.json", _rename_first_feature,
                  id="model-of-other-columns"),
     pytest.param("report", "per_seed.csv", _drop_seed_0, id="per-seed-missing-seed"),
     pytest.param("report", "per_seed.csv", _seed_1_to_minus_1, id="per-seed-negative-seed"),
+    pytest.param("report", "per_seed.csv", _drop_seed_1, id="per-seed-other-seed-count"),
+    pytest.param("report", "per_seed.csv", _duplicate_rf_deep_row, id="per-seed-duplicate-row"),
     pytest.param("report", "per_seed.csv", _edit_field(1, 3, "nan"), id="per-seed-nan"),
     pytest.param("report", "per_seed.csv", _edit_field(1, 1, "RF-Other"),
                  id="per-seed-unknown-method"),
@@ -159,6 +175,12 @@ def _seed_1_to_minus_1(text: str) -> str:
     pytest.param("train", "features_deep.csv", _edit_field(2, 5, "nan"), id="features-nan"),
     pytest.param("train", "features_deep.csv", _edit_field(2, -1, None),
                  id="features-short-row"),
+    pytest.param("train", "features_deep.csv", _relabel_ood_as_id, id="train-labels-off-manifest"),
+    pytest.param("eval", "features_deep.csv", _relabel_ood_as_id, id="eval-labels-off-manifest"),
+    pytest.param("ablate", "features_deep.csv", _relabel_ood_as_id,
+                 id="ablate-labels-off-manifest"),
+    pytest.param("explain", "features_deep.csv", _relabel_ood_as_id,
+                 id="explain-labels-off-manifest"),
 ])
 def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, capsys,
                                                       command, name, corrupt):
@@ -172,6 +194,7 @@ def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, ca
     assert code == 3, err
     assert f"stage={command}" in err
     assert name in err
+    assert err.splitlines()[-1].startswith(f"error stage={command} DataError: ")
 
 
 def _sb4_with_16_channels(work: Path) -> None:
@@ -205,6 +228,79 @@ def test_mismatched_pyramid_fails_in_extract_naming_scan(finished_run, tmp_path,
     assert "stage=extract" in err
     for text in named:
         assert text in err
+
+
+def _config(**overrides):
+    def change(run: Path) -> list[str]:
+        write_config(run, **overrides)
+        return []
+    return change
+
+
+def _zero_kidney_0002_p0(run: Path) -> list[str]:
+    # a valid stand-in, as a real encoder export would be
+    victim = run / "work" / "kidney_0002_p0.ovf"
+    p0 = read_ovf(victim)
+    write_ovf(Grid(np.zeros_like(p0.data), p0.spacing), victim)
+    return []
+
+
+@pytest.mark.parametrize("change, ran", [
+    pytest.param(lambda run: [], "", id="unchanged"),
+    pytest.param(_zero_kidney_0002_p0, "extract train eval report", id="pyramid-file"),
+    pytest.param(_config(temperature=2.0), "score eval report", id="temperature"),
+    pytest.param(_config(protocol={"train_frac": 0.4, "n_seeds": 3, "base_seed": 77}),
+                 "eval report", id="n-seeds"),
+    pytest.param(_config(encoder={"patch_size": 2, "widths": [4, 4, 8, 8, 8], "seed": 6}),
+                 "encode extract train eval report", id="encoder-seed"),
+    pytest.param(lambda run: ["--seed", "123"], "extract train eval report", id="seed-flag"),
+    pytest.param(_config(ablate_stages=["SB2"]), "", id="ablate-stages"),
+])
+def test_pipeline_reruns_exactly_the_stages_whose_inputs_changed(finished_run, tmp_path,
+                                                                 capsys, change, ran):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    deep = run / "work" / "features_deep.csv"
+    deep_before = deep.read_bytes()
+    extra = change(run)
+    capsys.readouterr()
+
+    assert main(["pipeline", "--config", str(run / "config.json"), *extra]) == 0
+    status = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith(("ran:", "skipped"))]
+    skipped = " ".join(s for s in pipeline.PIPELINE_STAGES if s not in ran.split())
+    assert status == [f"ran: {ran}"] * bool(ran) + \
+        [f"skipped (up to date): {skipped}"] * bool(skipped)
+    assert (deep.read_bytes() != deep_before) == ("extract" in ran)
+
+
+def test_stage_that_fails_midway_is_not_fresh(finished_run, tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    config = str(run / "config.json")
+    scores = run / "work" / "scores.csv"
+    scores_before = scores.read_bytes()
+
+    def truncate_then_fail(rows, path):
+        Path(path).write_text("")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_scores_csv", truncate_then_fail)
+    assert main(["score", "--config", config]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error stage=score RuntimeError: disk full"
+    monkeypatch.undo()
+
+    assert main(["pipeline", "--config", config]) == 0
+    assert "ran: score eval report\n" in capsys.readouterr().out
+    assert scores.read_bytes() == scores_before
+
+
+def test_subcommands_are_the_stage_table_plus_three():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [*(s.name for s in pipeline.STAGES),
+                                 "ablate", "explain", "pipeline"]
 
 
 def test_config_error_exit_code(tmp_path):

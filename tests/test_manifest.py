@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from oodscan.errors import DataError
-from oodscan.manifest import load_manifest, load_pyramid, load_volume, save_manifest
+from oodscan.manifest import (
+    load_manifest,
+    load_mask,
+    load_pyramid,
+    load_volume,
+    save_manifest,
+)
 from oodscan.ovf import write_ovf
 from oodscan.volumes import Grid
 
@@ -54,8 +60,9 @@ def test_empty_records_is_valid(tmp_path):
 def test_missing_mask_file_reports_path(tmp_path):
     rec = write_scan_files(tmp_path, "s2")
     (tmp_path / "s2_mask.ovf").unlink()
+    m = load_manifest(write_manifest(tmp_path, [rec]))
     with pytest.raises(DataError, match="s2_mask.ovf"):
-        load_manifest(write_manifest(tmp_path, [rec]))
+        load_mask(m.records[0])
 
 
 def test_unknown_cohort_label(tmp_path):
@@ -70,8 +77,9 @@ def test_corrupt_artifact_names_scan(tmp_path):
     raw = bytearray((tmp_path / "s4_vol.ovf").read_bytes())
     raw[0] ^= 0xFF
     (tmp_path / "s4_vol.ovf").write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="s4"):
-        load_manifest(write_manifest(tmp_path, [rec]))
+    m = load_manifest(write_manifest(tmp_path, [rec]))
+    with pytest.raises(DataError, match="scan 's4'"):
+        load_volume(m.records[0])
 
 
 def test_save_load_round_trip(tmp_path):
