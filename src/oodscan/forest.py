@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .errors import DataError
 from .rng import SplitMix64, derive
 
@@ -105,34 +106,40 @@ def _impurity(w0: float, w1: float) -> float:
     return total - (w0 * w0 + w1 * w1) / total
 
 
-def _best_split(Xn, w0n, w1n, feat_ids, parent_impurity):
-    """Best (decrease, feature, threshold) over candidate features, or None.
+def _best_split(V, w0n, w1n, W0, W1, parent_impurity):
+    """Best (decrease, column, threshold) over the columns of ``V``, or None.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; the first argmax picks the lowest threshold within a feature and
-    an explicit comparison keeps the lowest feature index across features.
+    ``V`` holds the node's rows of the candidate features in ascending
+    feature order; ``W0``/``W1`` are ``w0n.sum()``/``w1n.sum()``. Candidate
+    thresholds are midpoints between consecutive distinct sorted values.
+
+    All columns are searched at once, and each column's numbers equal a
+    one-column search: a stable sort is the unique permutation that orders
+    the values and keeps equal values in row order, whatever the axis;
+    ``cumsum`` along axis 0 adds each column's weights one row after the
+    other, in the same order and precision as a 1-D ``cumsum``; and the
+    decrease is elementwise arithmetic. Positions that are not boundaries
+    are masked to -inf. Ties go to the lowest threshold (the first argmax
+    in a column), then to the lowest column (a strict ``>`` across them).
     """
+    order = np.argsort(V, axis=0, kind="stable")
+    vs = V[order, np.arange(V.shape[1])]
+    boundary = vs[:-1] < vs[1:]
+    has_boundary = boundary.any(axis=0)
+    if not has_boundary.any():
+        return None
+    l0 = np.cumsum(w0n[order], axis=0)[:-1]
+    l1 = np.cumsum(w1n[order], axis=0)[:-1]
+    r0, r1 = W0 - l0, W1 - l1
+    wl, wr = l0 + l1, r0 + r1
+    dec = parent_impurity - (wl - (l0 * l0 + l1 * l1) / wl) - (wr - (r0 * r0 + r1 * r1) / wr)
+    dec[~boundary] = -np.inf
+    rows = np.argmax(dec, axis=0)
     best = None
-    W0 = w0n.sum()
-    W1 = w1n.sum()
-    for j in sorted(feat_ids):
-        v = Xn[:, j]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        boundaries = np.flatnonzero(vs[:-1] < vs[1:])
-        if boundaries.size == 0:
-            continue
-        c0 = np.cumsum(w0n[order])
-        c1 = np.cumsum(w1n[order])
-        l0, l1 = c0[boundaries], c1[boundaries]
-        r0, r1 = W0 - l0, W1 - l1
-        wl, wr = l0 + l1, r0 + r1
-        dec = parent_impurity - (wl - (l0 * l0 + l1 * l1) / wl) - (wr - (r0 * r0 + r1 * r1) / wr)
-        k = int(np.argmax(dec))
-        thr = (vs[boundaries[k]] + vs[boundaries[k] + 1]) / 2.0
-        cand = (float(dec[k]), j, float(thr))
-        if best is None or cand[0] > best[0]:
-            best = cand
+    for c in np.flatnonzero(has_boundary).tolist():
+        k = int(rows[c])
+        if best is None or dec[k, c] > best[0]:
+            best = (float(dec[k, c]), c, float((vs[k, c] + vs[k + 1, c]) / 2.0))
     return best
 
 
@@ -155,10 +162,12 @@ def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
     w1_all = w * (y == 1)
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        W0 = float(w0_all[idx].sum())
-        W1 = float(w1_all[idx].sum())
-        total = W0 + W1
-        leaf = TreeNode(dist=(W0 / total, W1 / total), cover=total)
+        w0n = w0_all[idx]
+        w1n = w1_all[idx]
+        W0 = w0n.sum()
+        W1 = w1n.sum()
+        total = float(W0 + W1)
+        leaf = TreeNode(dist=(float(W0) / total, float(W1) / total), cover=total)
         if (
             depth >= params.max_depth
             or idx.size < params.min_samples_split
@@ -166,12 +175,13 @@ def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
             or W1 == 0.0
         ):
             return leaf
-        feat_ids = rng.sample_indices(d, m)
-        split = _best_split(X[idx], w0_all[idx], w1_all[idx], feat_ids,
-                            _impurity(W0, W1))
+        cols = sorted(rng.sample_indices(d, m))
+        split = _best_split(X[idx[:, None], cols], w0n, w1n, W0, W1,
+                            _impurity(float(W0), float(W1)))
         if split is None:
             return leaf
-        _, j, thr = split
+        _, c, thr = split
+        j = cols[c]
         go_left = X[idx, j] <= thr
         node = TreeNode(feature=j, threshold=thr)
         node.left = grow(idx[go_left], depth + 1)
@@ -180,7 +190,12 @@ def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
         node.cover = total
         return node
 
-    return grow(np.arange(X.shape[0]), 0)
+    try:
+        return grow(np.arange(X.shape[0]), 0)
+    finally:
+        # grow's closure holds grow itself: emptying that cell ends the cycle,
+        # so X and the weights are freed now, not at the next cyclic collection
+        del grow
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
@@ -198,7 +213,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
     trees = []
     for t in range(params.n_trees):
         rng = SplitMix64(derive(seed, "tree", t))
-        bidx = np.array([rng.randrange(n) for _ in range(n)], dtype=np.int64)
+        bidx = rng.randrange_block(n, n)
         trees.append(fit_tree(X[bidx], y[bidx], weights[bidx], params, rng))
     return Forest(trees=trees, n_features=d, feature_names=tuple(feature_names),
                   seed=seed, params=params)
@@ -326,7 +341,7 @@ def save_model(forest: Forest, path) -> None:
         "seed": forest.seed,
         "trees": [_node_to_doc(t) for t in forest.trees],
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    write_text_atomic(path, json.dumps(doc) + "\n")
 
 
 def load_model(path) -> Forest:

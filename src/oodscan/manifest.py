@@ -9,12 +9,12 @@ tensor when a stage reads it, and every failure names the offending scan_id.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .errors import DataError
 from .ovf import read_ovf
 from .volumes import STAGE_IDS, FeaturePyramid, Grid
@@ -132,9 +132,7 @@ def save_manifest(manifest: CohortManifest, path) -> None:
     # equal bytes keep the old mtime, so stages that read the manifest stay fresh
     if path.is_file() and path.read_text() == text:
         return
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    write_text_atomic(path, text)
 
 
 def _read(rec: ScanRecord, path) -> Grid:

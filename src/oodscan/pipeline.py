@@ -8,7 +8,6 @@ Stage failures surface as StageError carrying the stage name.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -50,6 +49,7 @@ from .scores import METHODS as SCORE_METHODS
 from .scores import ScoreConfig, scan_score
 from .tables import (
     FeatureTable,
+    csv_writer,
     read_feature_table,
     read_scores_csv,
     write_feature_table,
@@ -262,8 +262,7 @@ def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) ->
         raise DataError(f"model {model_path} was fit on other columns than {paths[kind]}")
     out_path = cfg.work_dir / f"shap_{kind}.csv"
     n_rows = len(table.scan_ids) if limit is None else min(limit, len(table.scan_ids))
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(out_path) as writer:
         writer.writerow(["scan_id", "crop_index", "base_value", "prediction",
                          *table.names])
         for i in range(n_rows):
@@ -315,13 +314,17 @@ STAGES = (  # in pipeline run order
 PIPELINE_STAGES = tuple(s.name for s in STAGES)
 
 
-def _stamp(cfg: RunConfig, stage: Stage) -> tuple[dict, list[Path]]:
-    """The stamp ``stage`` would write now, and the paths it writes. Loads
-    the manifest at most once, and only when a name is a record field."""
+def _stamp(cfg: RunConfig, stage: Stage,
+           manifest: CohortManifest | None = None) -> tuple[dict, list[Path]]:
+    """The stamp ``stage`` would write now, and the paths it writes. Reads
+    records from ``manifest``, the parsed ``cfg.manifest``, when given; else
+    loads it once, and only when a name is a record field."""
     paths = _paths(cfg)
     records = ()
     if not set(stage.reads + stage.writes) <= set(paths):
-        records = load_manifest(cfg.manifest).records
+        if manifest is None:
+            manifest = load_manifest(cfg.manifest)
+        records = manifest.records
 
     def expand(names) -> list[Path]:
         out = []
@@ -349,10 +352,11 @@ def _stamp_path(cfg: RunConfig, stage: Stage) -> Path:
     return cfg.work_dir / ".stamps" / f"{stage.name}.json"
 
 
-def stamp_is_fresh(cfg: RunConfig, stage: Stage) -> bool:
+def stamp_is_fresh(cfg: RunConfig, stage: Stage,
+                   manifest: CohortManifest | None = None) -> bool:
     try:
         doc = json.loads(_stamp_path(cfg, stage).read_text())
-        stamp, writes = _stamp(cfg, stage)
+        stamp, writes = _stamp(cfg, stage, manifest)
         return doc == stamp and all(p.exists() for p in writes)
     except (OSError, ValueError, DataError):
         return False
@@ -373,10 +377,20 @@ def run_stage(cfg: RunConfig, stage: Stage) -> None:
 
 
 def run_pipeline(cfg: RunConfig, force: bool = False) -> list[str]:
-    """Run STAGES in order, skipping fresh ones unless ``force``; return those run."""
+    """Run STAGES in order, skipping fresh ones unless ``force``; return those
+    run. The checks share one parse of the manifest, renewed after a stage
+    that writes it has run."""
     ran = []
+    manifest = None
     for stage in STAGES:
-        if force or not stamp_is_fresh(cfg, stage):
+        if not force and manifest is None:
+            try:
+                manifest = load_manifest(cfg.manifest)
+            except DataError:
+                pass  # no valid manifest yet: each check loads and fails on its own
+        if force or not stamp_is_fresh(cfg, stage, manifest):
             run_stage(cfg, stage)
             ran.append(stage.name)
+            if "manifest" in stage.writes:
+                manifest = None
     return ran

@@ -7,16 +7,15 @@ AUROC/FPR95 column pair per OOD cohort.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
+from .atomic import write_text_atomic
 from .errors import DataError
 from .protocol import DISPLAY_NAMES, EvalReport, MethodCohortResult
-from .tables import finite_float, format_float
+from .tables import csv_writer, finite_float, format_float
 
 
 def write_per_seed_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["seed", "method", "cohort", "auroc", "fpr95"])
         n_seeds = report.protocol.get("n_seeds", 0)
         for seed in range(n_seeds):
@@ -85,8 +84,7 @@ def _write_metric_table(path, first_column: str, cohorts, rows) -> None:
     for cohort in cohorts:
         header += [f"{cohort}_auroc_mean", f"{cohort}_auroc_std",
                    f"{cohort}_fpr95_mean", f"{cohort}_fpr95_std"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(header)
         for label, results in rows:
             row = [label]
@@ -127,7 +125,7 @@ def render_summary_text(report: EvalReport) -> str:
 
 
 def write_summary_text(report: EvalReport, path) -> None:
-    Path(path).write_text(render_summary_text(report))
+    write_text_atomic(path, render_summary_text(report))
 
 
 def write_ablation_csv(stage_reports: dict[str, EvalReport], path) -> None:

@@ -28,6 +28,10 @@ _FNV_PRIME = 0x100000001B3
 # 2**-53: a 53-bit integer mapped to [0, 1) keeps full double precision.
 _INV53 = 1.0 / 9007199254740992.0
 
+# numpy scalars for the block path, built once: each call then does array work only
+_U64_GOLDEN, _U64_MIX1, _U64_MIX2 = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
+_U64_27, _U64_30, _U64_31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word."""
@@ -82,12 +86,16 @@ class SplitMix64:
         return mix64(self._state)
 
     def u64_block(self, n: int) -> np.ndarray:
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U64_GOLDEN
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> _U64_30
+        z *= _U64_MIX1
+        z ^= z >> _U64_27
+        z *= _U64_MIX2
+        z ^= z >> _U64_31
+        return z
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -128,6 +136,27 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
+    def randrange_block(self, n: int, count: int) -> np.ndarray:
+        """``count`` uniform integers in [0, n) as uint64: the values and the
+        final state of ``count`` scalar :meth:`randrange` calls.
+
+        Each pass draws one word per value still missing and keeps the words
+        below the rejection limit, so the words consumed are exactly those
+        the scalar calls would consume, in the same order.
+        """
+        if not 0 < n < 1 << 64:
+            raise ValueError("randrange_block() bound must be in [1, 2**64)")
+        if count < 0:
+            raise ValueError("randrange_block() count must be >= 0")
+        limit = (1 << 64) - ((1 << 64) % n)  # 2**64 when n is a power of two
+        out = np.empty(0, dtype=np.uint64)
+        while out.size < count:
+            words = self.u64_block(count - out.size)
+            if limit <= _MASK64:
+                words = words[words < np.uint64(limit)]
+            out = np.concatenate([out, words])
+        return out % np.uint64(n)
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         if hi < lo:
@@ -141,11 +170,26 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
+        """k distinct indices from range(n), via partial Fisher-Yates.
+
+        Step i draws ``randrange(n - i)``. The k words are drawn as one
+        block; on the first word the scalar rule would reject, the stream is
+        rewound to it and the remaining steps run scalar, so the result and
+        the final state equal the all-scalar shuffle.
+        """
         if not 0 <= k <= n:
             raise ValueError("sample_indices() needs 0 <= k <= n")
+        start = self._state
         pool = list(range(n))
-        for i in range(k):
-            j = i + self.randrange(n - i)
+        for i, x in enumerate(self.u64_block(k).tolist()):
+            bound = n - i
+            # the limit exceeds 2**64 - bound, so most words skip its modulo
+            if x > _MASK64 - bound and x >= (1 << 64) - ((1 << 64) % bound):
+                self._state = (start + i * _GOLDEN) & _MASK64
+                for i in range(i, k):
+                    j = i + self.randrange(n - i)
+                    pool[i], pool[j] = pool[j], pool[i]
+                break
+            j = i + x % bound
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

@@ -8,17 +8,27 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DataError
 
 
 def format_float(v: float) -> str:
     """Shortest round-trip form, so equal floats give equal bytes."""
     return repr(float(v))
+
+
+@contextmanager
+def csv_writer(path):
+    """A ``csv.writer`` with "\n" line ends whose file replaces ``path``
+    only once it is complete."""
+    with atomic_open(path, newline="") as fh:
+        yield csv.writer(fh, lineterminator="\n")
 
 
 def finite_float(text: str) -> float:
@@ -51,8 +61,7 @@ class FeatureTable:
 
 
 def write_feature_table(table: FeatureTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["scan_id", "cohort_label", "crop_index", *table.names])
         for sid, label, crop, row in zip(table.scan_ids, table.labels,
                                          table.crop_indices, table.values):
@@ -90,8 +99,7 @@ def read_feature_table(path, kind: str) -> FeatureTable:
 
 def write_scores_csv(rows: list, path) -> None:
     """rows: (scan_id, cohort_label, method, value, fallback_used)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_writer(path) as writer:
         writer.writerow(["scan_id", "cohort_label", "method", "value", "fallback_used"])
         for sid, label, method, value, fb in rows:
             writer.writerow([sid, label, method, format_float(value), int(fb)])

@@ -128,3 +128,65 @@ def full_volume_crop_features(stages, factors, mask, crops) -> np.ndarray:
         row.append(1.0 if fallback else 0.0)
         rows.append(row)
     return np.array(rows, dtype=np.float64)
+
+
+# --- split search -----------------------------------------------------------
+
+def per_feature_best_split(Xn, w0n, w1n, feat_ids, parent_impurity):
+    """Best (decrease, feature, threshold) over ``feat_ids``, one feature at
+    a time, or None: the random forest's split search before it searched all
+    candidate columns in one 2-D pass.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values; the first argmax picks the lowest threshold within a feature and
+    an explicit comparison keeps the lowest feature index across features.
+    """
+    best = None
+    W0 = w0n.sum()
+    W1 = w1n.sum()
+    for j in sorted(feat_ids):
+        v = Xn[:, j]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        boundaries = np.flatnonzero(vs[:-1] < vs[1:])
+        if boundaries.size == 0:
+            continue
+        c0 = np.cumsum(w0n[order])
+        c1 = np.cumsum(w1n[order])
+        l0, l1 = c0[boundaries], c1[boundaries]
+        r0, r1 = W0 - l0, W1 - l1
+        wl, wr = l0 + l1, r0 + r1
+        dec = parent_impurity - (wl - (l0 * l0 + l1 * l1) / wl) - (wr - (r0 * r0 + r1 * r1) / wr)
+        k = int(np.argmax(dec))
+        thr = (vs[boundaries[k]] + vs[boundaries[k] + 1]) / 2.0
+        cand = (float(dec[k]), j, float(thr))
+        if best is None or cand[0] > best[0]:
+            best = cand
+    return best
+
+
+def scalar_sample_indices(rng, n: int, k: int) -> list[int]:
+    """Partial Fisher-Yates with one scalar ``randrange`` per step."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.randrange(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def seed_whose_draw_is(word: int, draw: int) -> int:
+    """The SplitMix64 seed whose ``draw``-th output (0-based) is ``word``:
+    inverts the output mix, then steps the state back ``draw + 1`` times."""
+    mask = (1 << 64) - 1
+
+    def unxorshift(z, k):
+        out, shift = z, k
+        while shift < 64:
+            out ^= z >> shift
+            shift += k
+        return out
+
+    z = unxorshift(word, 31)
+    z = unxorshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask, 27)
+    z = unxorshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask, 30)
+    return (z - (draw + 1) * 0x9E3779B97F4A7C15) & mask

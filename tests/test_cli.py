@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodscan import pipeline
+from oodscan import pipeline, tables
 from oodscan.cli import build_parser, main
 from oodscan.config import load_config
 from oodscan.encoder import ToyEncoderConfig, toy_encode
+from oodscan.manifest import load_manifest
 from oodscan.ovf import read_ovf, write_ovf
 from oodscan.volumes import Grid
 
@@ -294,6 +295,40 @@ def test_stage_that_fails_midway_is_not_fresh(finished_run, tmp_path, capsys, mo
     assert main(["pipeline", "--config", config]) == 0
     assert "ran: score eval report\n" in capsys.readouterr().out
     assert scores.read_bytes() == scores_before
+
+
+def test_noop_pipeline_parses_the_manifest_once(finished_run, tmp_path, capsys,
+                                                monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    calls = []
+    monkeypatch.setattr(pipeline, "load_manifest",
+                        lambda path: calls.append(path) or load_manifest(path))
+    assert main(["pipeline", "--config", str(run / "config.json")]) == 0
+    assert "ran:" not in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_failed_write_keeps_the_previous_artifact(finished_run, tmp_path, capsys,
+                                                  monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    scores = run / "work" / "scores.csv"
+    scores_before = scores.read_bytes()
+    written = []
+
+    def fail_on_fifth(value):
+        written.append(value)
+        if len(written) == 5:
+            raise RuntimeError("disk full")
+        return repr(float(value))
+
+    monkeypatch.setattr(tables, "format_float", fail_on_fifth)
+    assert main(["score", "--config", str(run / "config.json")]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error stage=score RuntimeError: disk full"
+    assert scores.read_bytes() == scores_before
+    assert not scores.with_name("scores.csv.tmp").exists()
 
 
 def test_subcommands_are_the_stage_table_plus_three():

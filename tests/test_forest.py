@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oodscan.forest import (
     Forest,
@@ -14,10 +15,13 @@ from oodscan.forest import (
     predict_proba_batch,
     predict_scan,
     sample_weight_vector,
+    _best_split,
     _impurity,
     save_model,
 )
 from oodscan.rng import SplitMix64, derive
+
+from oracles import per_feature_best_split
 
 
 def gaussian_blobs(n=200, separation=6.0, seed=3, d=2):
@@ -52,6 +56,70 @@ def test_weighted_gini_values():
     assert _impurity(2.0, 2.0) == 4.0 * 0.5
     assert _impurity(3.0, 1.0) == pytest.approx(4.0 * (1.0 - (9 / 16 + 1 / 16)))
     assert _impurity(3.0, 1.0) == pytest.approx(4.0 * 0.375)
+
+
+# --- split search ------------------------------------------------------------
+
+@st.composite
+def split_nodes(draw):
+    """A node's rows, class weights and candidate features: tie-heavy integer
+    columns, continuous, constant and two-valued (one boundary) columns,
+    copied columns that tie across features, and duplicated rows."""
+    n = draw(st.integers(2, 64))
+    d = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["ints", "floats", "constant", "two", "copy"]))
+        if kind == "copy" and columns:
+            col = columns[draw(st.integers(0, len(columns) - 1))]
+        elif kind == "floats":
+            col = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        elif kind == "constant":
+            col = [draw(st.floats(-5, 5))] * n
+        elif kind == "two":
+            col = [0.0] * n
+            col[draw(st.integers(0, n - 1))] = 1.0
+        else:
+            col = draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
+        columns.append(col)
+    X = np.array(columns).T
+    if draw(st.booleans()):  # a bootstrap-style sample repeats rows
+        X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([0.625, 2.5, 1.0]) | st.floats(0.01, 10),
+                               min_size=n, max_size=n)))
+    feat_ids = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    return X, w * (y == 0), w * (y == 1), feat_ids
+
+
+def _bits(split):
+    if split is None:
+        return None
+    dec, feature, thr = split
+    return dec.hex(), feature, thr.hex()
+
+
+@given(split_nodes())
+def test_2d_split_search_is_bit_equal_to_per_feature_search(node):
+    X, w0n, w1n, feat_ids = node
+    W0, W1 = w0n.sum(), w1n.sum()
+    parent = _impurity(float(W0), float(W1))
+    cols = sorted(feat_ids)
+    got = _best_split(X[:, cols], w0n, w1n, W0, W1, parent)
+    if got is not None:
+        got = (got[0], cols[got[1]], got[2])
+    assert _bits(got) == _bits(per_feature_best_split(X, w0n, w1n, feat_ids, parent))
+
+
+def test_split_ties_go_to_lowest_feature_then_lowest_threshold():
+    # columns 0 and 2 are equal; on each the cuts after row 1 and row 3 tie
+    X = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0], [3.0, 5.0, 3.0],
+                  [4.0, 5.0, 4.0], [5.0, 5.0, 5.0]])
+    y = np.array([0, 0, 1, 1, 0, 0])
+    w0n, w1n = 1.0 * (y == 0), 1.0 * (y == 1)
+    dec, col, thr = _best_split(X[:, [0, 1, 2]], w0n, w1n, 4.0, 2.0, _impurity(4.0, 2.0))
+    assert (col, thr) == (0, 1.5)
+    assert _best_split(X[:, [1]], w0n, w1n, 4.0, 2.0, _impurity(4.0, 2.0)) is None
 
 
 # --- single trees -------------------------------------------------------------

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 from oodscan.rng import SplitMix64, derive, mix64
 
-from oracles import splitmix64_reference
+from oracles import scalar_sample_indices, seed_whose_draw_is, splitmix64_reference
+
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def test_matches_reference_algorithm():
@@ -67,6 +69,64 @@ def test_shuffle_is_permutation_and_deterministic():
     again = list(range(25))
     SplitMix64(7).shuffle(again)
     assert items == again
+
+
+def test_seed_whose_draw_is_inverts_the_stream():
+    for draw in (0, 3):
+        r = SplitMix64(seed_whose_draw_is(2**64 - 1, draw))
+        assert [r.next_u64() for _ in range(draw + 1)][-1] == 2**64 - 1
+
+
+# n = 1; powers of two, where nothing is rejected and the limit is 2**64;
+# row counts; 2**63 + 1, where about half the words are rejected
+BOUNDS = st.sampled_from([1, 2, 64, 2**32, 2**63, 7, 40, 384, 960, 2**63 + 1])
+
+
+@given(SEEDS, BOUNDS, st.integers(0, 400))
+def test_randrange_block_equals_scalar(seed, n, count):
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    block = a.randrange_block(n, count)
+    assert block.dtype == np.uint64
+    assert [int(v) for v in block] == [b.randrange(n) for _ in range(count)]
+    assert a._state == b._state
+
+
+@pytest.mark.parametrize("n", [7, 384, 2**63 + 1])
+def test_randrange_block_tops_up_after_a_rejected_word(n):
+    # the all-ones word is rejected for every n that is not a power of two
+    seed = seed_whose_draw_is(2**64 - 1, 5)
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    assert [int(v) for v in a.randrange_block(n, 20)] == [b.randrange(n) for _ in range(20)]
+    assert a._state == b._state
+
+
+def test_randrange_block_rejects_bad_bounds():
+    r = SplitMix64(3)
+    for n in (0, -1, 2**64):
+        with pytest.raises(ValueError):
+            r.randrange_block(n, 4)
+    with pytest.raises(ValueError):
+        r.randrange_block(5, -1)
+
+
+@given(SEEDS, st.integers(1, 200), st.data())
+def test_sample_indices_equals_scalar_fisher_yates(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    assert a.sample_indices(n, k) == scalar_sample_indices(b, n, k)
+    assert a._state == b._state
+
+
+@pytest.mark.parametrize("step", [0, 3, 10])
+def test_sample_indices_falls_back_to_scalar_on_a_rejected_word(step):
+    seed = seed_whose_draw_is(2**64 - 1, step)  # rejected: 129 - step is no power of two
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    assert a.sample_indices(129, 11) == scalar_sample_indices(b, 129, 11)
+    assert a._state == b._state
 
 
 def test_sample_indices_distinct():
