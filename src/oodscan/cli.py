@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--threads", type=int, default=None,
-                       help="parallelism cap; never changes outputs")
+                       help="worker threads for gen and encode; "
+                            "never changes outputs")
         p.add_argument("--seed", type=int, default=None,
                        help="override protocol.base_seed")
         p.add_argument("--workdir", default=None,

@@ -2,8 +2,9 @@
 
 The config hash covers every semantically meaningful field of the
 normalized configuration (defaults filled in, key order and whitespace
-irrelevant). Runtime knobs that must not change outputs -- thread count --
-and location fields (work_dir, manifest path) are excluded.
+irrelevant). The thread count (worker threads for gen and encode, which
+never changes outputs) and location fields (work_dir, manifest path) are
+excluded.
 """
 
 from __future__ import annotations
@@ -91,6 +92,23 @@ def _expect_dict(doc, key) -> dict:
     return sub
 
 
+def _number(value, key: str, kind: type = int):
+    """``value`` as ``kind``: an int needs a JSON integer, a float any number."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config field {key!r} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _check_ints(sections: dict) -> None:
+    """Reject a non-integer in any ``int`` field of the named config objects."""
+    for section, obj in sections.items():
+        for f in dataclasses.fields(obj):
+            if f.type == "int":
+                _number(getattr(obj, f.name), f"{section}.{f.name}")
+
+
 def replace_cohorts(cfg: RunConfig, specs_path) -> RunConfig:
     """Swap in cohort specs from a standalone JSON array file."""
     path = Path(specs_path)
@@ -103,6 +121,7 @@ def replace_cohorts(cfg: RunConfig, specs_path) -> RunConfig:
     if not isinstance(doc, list):
         raise ConfigError(f"cohort specs {path} must be a JSON array")
     cohorts = tuple(CohortSpec.from_dict(c) for c in doc)
+    _check_ints({f"cohorts[{i}]": c for i, c in enumerate(cohorts)})
     return dataclasses.replace(cfg, cohorts=cohorts)
 
 
@@ -149,27 +168,30 @@ def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = N
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config structure: {exc}") from exc
 
+    _check_ints({"encoder": encoder, "crops": crops, "forest": forest,
+                 "protocol": protocol,
+                 **{f"cohorts[{i}]": c for i, c in enumerate(cohorts)}})
     if seed_override is not None:
         protocol = dataclasses.replace(protocol, base_seed=seed_override)
 
-    ablate_stages = tuple(doc.get("ablate_stages") or STAGE_IDS)
+    ablate_stages = doc.get("ablate_stages") or STAGE_IDS
+    if not isinstance(ablate_stages, (list, tuple)):
+        raise ConfigError("ablate_stages must be a list of stage ids")
     for stage in ablate_stages:
         if stage not in STAGE_IDS:
             raise ConfigError(f"unknown ablation stage {stage!r}")
 
-    temperature = float(doc.get("temperature", 1.0))
+    temperature = _number(doc.get("temperature", 1.0), "temperature", float)
     if temperature <= 0:
         raise ConfigError("temperature must be > 0")
-    rfe_target = int(doc.get("rfe_target", 32))
+    rfe_target = _number(doc.get("rfe_target", 32), "rfe_target")
     if rfe_target < 1:
         raise ConfigError("rfe_target must be >= 1")
     rfe_step = doc.get("rfe_step")
-    if rfe_step is not None:
-        rfe_step = int(rfe_step)
-        if rfe_step < 1:
-            raise ConfigError("rfe_step must be >= 1")
+    if rfe_step is not None and _number(rfe_step, "rfe_step") < 1:
+        raise ConfigError("rfe_step must be >= 1")
     threads = threads_override if threads_override is not None \
-        else int(doc.get("threads", 1))
+        else _number(doc.get("threads", 1), "threads")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
@@ -184,6 +206,6 @@ def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = N
         protocol=protocol,
         rfe_target=rfe_target,
         rfe_step=rfe_step,
-        ablate_stages=ablate_stages,
+        ablate_stages=tuple(ablate_stages),
         threads=threads,
     )

@@ -11,9 +11,3 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def make_map_fn(threads: int):
-    def map_fn(fn, items):
-        return parallel_map(fn, items, threads)
-    return map_fn

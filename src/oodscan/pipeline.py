@@ -32,7 +32,7 @@ from .manifest import (
     save_manifest,
 )
 from .ovf import write_ovf
-from .parallel import make_map_fn
+from .parallel import parallel_map
 from .protocol import METHOD_ORDER, repeated_split_eval
 from .radiomics import RADIOMICS_NAMES, radiomics_lite
 from .regions import deep_feature_names, deep_feature_vector, tumor_crops
@@ -104,7 +104,6 @@ def _split_eval(cfg: RunConfig, manifest: CohortManifest, methods, **tables):
         train_frac=cfg.protocol.train_frac,
         n_seeds=cfg.protocol.n_seeds,
         base_seed=cfg.protocol.base_seed,
-        map_fn=make_map_fn(cfg.threads),
         **tables,
     )
 
@@ -112,12 +111,12 @@ def _split_eval(cfg: RunConfig, manifest: CohortManifest, methods, **tables):
 def stage_gen(cfg: RunConfig) -> None:
     if not cfg.cohorts:
         raise DataError("config lists no cohorts to generate")
-    make_cohort(list(cfg.cohorts), cfg.work_dir, map_fn=make_map_fn(cfg.threads))
+    make_cohort(list(cfg.cohorts), cfg.work_dir,
+                map_fn=lambda fn, items: parallel_map(fn, items, cfg.threads))
 
 
 def stage_encode(cfg: RunConfig) -> None:
     manifest = load_manifest(cfg.manifest)
-    map_fn = make_map_fn(cfg.threads)
 
     def encode_one(rec: ScanRecord) -> ScanRecord:
         volume = load_volume(rec)
@@ -129,39 +128,33 @@ def stage_encode(cfg: RunConfig) -> None:
             paths.append(p)
         return dataclasses.replace(rec, pyramid=tuple(paths))
 
-    records = tuple(map_fn(encode_one, manifest.records))
+    records = tuple(parallel_map(encode_one, manifest.records, cfg.threads))
     save_manifest(dataclasses.replace(manifest, records=records), cfg.manifest)
 
 
 def stage_extract(cfg: RunConfig) -> None:
-    manifest = load_manifest(cfg.manifest)
-    base_seed = cfg.protocol.base_seed
-    map_fn = make_map_fn(cfg.threads)
-
-    def extract_one(rec: ScanRecord):
+    records = load_manifest(cfg.manifest).records
+    if not records:
+        raise DataError(f"manifest {cfg.manifest} lists no scans")
+    deep_rows, radiomics_rows = [], []
+    for rec in records:
         volume = load_volume(rec)
         mask = load_mask(rec)
         pyramid = load_pyramid(rec, volume)
+        names = deep_feature_names(pyramid)
+        if deep_rows and names != deep_names:
+            raise DataError(f"scan {rec.scan_id!r}: deep feature columns differ "
+                            f"from those of scan {records[0].scan_id!r}")
+        deep_names = names
         crops = tumor_crops(
             mask,
             k=cfg.crops.count,
             crop_size=cfg.crops.size,
             jitter_radius=cfg.crops.jitter_radius,
-            seed=derive(base_seed, "crops", rec.scan_id),
+            seed=derive(cfg.protocol.base_seed, "crops", rec.scan_id),
         )
-        return (deep_feature_names(pyramid),
-                deep_feature_vector(pyramid, mask, crops),
-                radiomics_lite(volume, mask))
-
-    records = manifest.records
-    if not records:
-        raise DataError(f"manifest {cfg.manifest} lists no scans")
-    results = map_fn(extract_one, records)
-    deep_names = results[0][0]
-    for rec, (names, _, _) in zip(records, results):
-        if names != deep_names:
-            raise DataError(f"scan {rec.scan_id!r}: deep feature columns differ "
-                            f"from those of scan {records[0].scan_id!r}")
+        deep_rows.append(deep_feature_vector(pyramid, mask, crops))
+        radiomics_rows.append(radiomics_lite(volume, mask))
 
     def table(kind, names, per_scan, values) -> FeatureTable:
         return FeatureTable(
@@ -175,29 +168,22 @@ def stage_extract(cfg: RunConfig) -> None:
 
     paths = _paths(cfg)
     write_feature_table(table("deep", deep_names, cfg.crops.count,
-                              np.concatenate([rows for _, rows, _ in results])),
-                        paths["deep"])
+                              np.concatenate(deep_rows)), paths["deep"])
     write_feature_table(table("radiomics", RADIOMICS_NAMES, 1,
-                              np.stack([rad for _, _, rad in results])),
-                        paths["radiomics"])
+                              np.stack(radiomics_rows)), paths["radiomics"])
 
 
 def stage_score(cfg: RunConfig) -> None:
-    manifest = load_manifest(cfg.manifest)
-    map_fn = make_map_fn(cfg.threads)
     configs = [ScoreConfig(method=m, temperature=cfg.temperature)
                for m in SCORE_METHODS]
-
-    def score_one(rec: ScanRecord):
+    rows = []
+    for rec in load_manifest(cfg.manifest).records:
         mask = load_mask(rec)
         logits = load_logits(rec)
-        return [
-            (rec.scan_id, rec.cohort_label, s.method, s.value, s.fallback_used)
-            for s in (scan_score(logits, mask, c, scan_id=rec.scan_id)
-                      for c in configs)
-        ]
-
-    rows = [row for chunk in map_fn(score_one, manifest.records) for row in chunk]
+        for c in configs:
+            score = scan_score(logits, mask, c, scan_id=rec.scan_id)
+            rows.append((rec.scan_id, rec.cohort_label, score.method,
+                         score.value, score.fallback_used))
     write_scores_csv(rows, _paths(cfg)["scores"])
 
 

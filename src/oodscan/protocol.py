@@ -154,7 +154,6 @@ def repeated_split_eval(
     train_frac: float = 0.4,
     n_seeds: int = 100,
     base_seed: int = 0,
-    map_fn=map,
 ) -> EvalReport:
     if n_seeds < 1:
         raise DataError("n_seeds must be >= 1")
@@ -203,18 +202,18 @@ def repeated_split_eval(
             )
 
     rf_methods = [m for m in methods if m in RF_METHODS]
+    rf_per_seed = {(m, c): [] for m in rf_methods for c in ood_cohorts}
     if rf_methods:
         # All crops of a scan stay on one side: splits operate on scan ids,
         # independently per cohort. The ID test pool is shared across the
         # per-OOD-cohort metric computations within a seed.
-        def run_seed(s: int) -> dict:
+        for s in range(n_seeds):
             splits = {
                 cohort: split_cohort(cohort_ids[cohort], train_frac,
                                      derive(base_seed ^ s, "split", cohort))
                 for cohort in id_cohorts + ood_cohorts
             }
             id_test = [sid for c in id_cohorts for sid in splits[c].test]
-            out = {}
             for method in rf_methods:
                 use_rfe = method == "rf_radiomics"
                 scan_scores = _rf_seed_scores(
@@ -228,16 +227,10 @@ def repeated_split_eval(
                 for cohort in ood_cohorts:
                     sids = id_test + splits[cohort].test
                     labels = [0] * len(id_test) + [1] * len(splits[cohort].test)
-                    out[(method, cohort)] = _metrics_pct(
-                        labels, [scan_scores[sid] for sid in sids])
-            return out
-
-        per_seed_results = list(map_fn(run_seed, range(n_seeds)))
-        for method in rf_methods:
-            for cohort in ood_cohorts:
-                results[(method, cohort)] = MethodCohortResult(
-                    per_seed=tuple(r[(method, cohort)] for r in per_seed_results)
-                )
+                    rf_per_seed[(method, cohort)].append(_metrics_pct(
+                        labels, [scan_scores[sid] for sid in sids]))
+    for key, per_seed in rf_per_seed.items():
+        results[key] = MethodCohortResult(per_seed=tuple(per_seed))
 
     ordered = tuple(m for m in METHOD_ORDER if m in methods)
     return EvalReport(

@@ -130,6 +130,8 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:
             raise ValueError("randrange() bound must be positive")
+        if n > 1 << 64:  # the rejection limit would be 0 and reject every word
+            raise ValueError("randrange() bound must be at most 2**64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()

@@ -347,6 +347,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["gen", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("score", {"temperature": "hot"}),
+    ("score", {"temperature": None}),
+    ("eval", {"rfe_target": "x"}),
+    ("eval", {"rfe_step": [1]}),
+    ("gen", {"threads": "two"}),
+    ("ablate", {"ablate_stages": 3}),
+    ("train", {"forest": {"n_trees": 2.5}}),
+    ("eval", {"protocol": {"n_seeds": 1.5}}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error stage=config ConfigError: ")
+
+
 def test_config_hash_semantics(tmp_path):
     cfg_path = write_config(tmp_path)
     base = load_config(cfg_path).config_hash()

@@ -1,12 +1,17 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from oodscan import parallel
+from oodscan.cli import main
 from oodscan.errors import DataError
 from oodscan.forest import RFParams
 from oodscan.manifest import CohortManifest, ScanRecord
 from oodscan.protocol import repeated_split_eval, split_cohort
 from oodscan.rng import SplitMix64, derive
 from oodscan.tables import FeatureTable
+from test_cli import write_config
 
 
 def fake_manifest(n_id=10, n_ood=10):
@@ -151,15 +156,20 @@ def test_missing_baseline_scores_detected():
                             n_seeds=1, base_seed=0)
 
 
-def test_parallel_map_matches_sequential():
-    from oodscan.parallel import make_map_fn
-    manifest = fake_manifest()
-    deep, rad = feature_tables(manifest)
-    kw = dict(deep_table=deep, radiomics_table=rad,
-              baseline_scores=baseline_scores(manifest),
-              rf_params=PARAMS, n_seeds=4, base_seed=11)
-    seq = repeated_split_eval(manifest, **kw)
-    par = repeated_split_eval(manifest, map_fn=make_map_fn(8), **kw)
-    assert seq.results.keys() == par.results.keys()
-    for key in seq.results:
-        assert seq.results[key].per_seed == par.results[key].per_seed
+def test_only_gen_and_encode_use_a_thread_pool(tmp_path, monkeypatch):
+    """Forest fitting and extraction hold the interpreter lock, so a second
+    thread only adds contention; just the OVF-writing stages get a pool."""
+    pooled = []
+    command = None
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pooled.append(command)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    cfg = str(write_config(tmp_path))
+    for command in ("gen", "encode", "extract", "score", "train", "eval",
+                    "report", "ablate", "explain"):
+        assert main([command, "--config", cfg, "--threads", "4"]) == 0
+    assert pooled == ["gen", "encode"]

@@ -55,6 +55,22 @@ def test_randint_covers_inclusive_range():
         r.randint(3, 2)
 
 
+def test_randrange_and_randint_accept_the_2_pow_64_bound():
+    word = SplitMix64(8).next_u64()
+    assert SplitMix64(8).randrange(2**64) == word
+    assert SplitMix64(8).randint(-5, 2**64 - 6) == word - 5
+
+
+def test_randrange_and_randint_reject_bounds_above_2_pow_64():
+    r = SplitMix64(8)
+    for n in (2**64 + 1, 2**65):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            r.randrange(n)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        r.randint(0, 2**64)
+    assert r._state == SplitMix64(8)._state  # nothing was drawn
+
+
 def test_randrange_uniformity_smoke():
     r = SplitMix64(6)
     counts = np.bincount([r.randrange(7) for _ in range(70_000)], minlength=7)
