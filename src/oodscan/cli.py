@@ -69,6 +69,8 @@ def main(argv=None) -> int:
                           threads_override=args.threads)
         if getattr(args, "cohorts", None):
             cfg = replace_cohorts(cfg, args.cohorts)
+        if getattr(args, "limit", None) is not None and args.limit < 0:
+            raise ConfigError(f"--limit must be >= 0, got {args.limit}")
         stage = args.command
         if args.command in PIPELINE_STAGES:
             run_stage(cfg, STAGES[PIPELINE_STAGES.index(args.command)])

@@ -101,12 +101,23 @@ def _number(value, key: str, kind: type = int):
     return kind(value)
 
 
-def _check_ints(sections: dict) -> None:
-    """Reject a non-integer in any ``int`` field of the named config objects."""
+def _check_numbers(sections: dict) -> None:
+    """Reject a value of the wrong kind in the named config objects: a
+    non-integer in an ``int`` field (or an ``int | str`` one), and a tuple
+    field of the wrong length or with an element of the wrong kind."""
+    kinds = {"int": int, "float": float}
     for section, obj in sections.items():
         for f in dataclasses.fields(obj):
-            if f.type == "int":
-                _number(getattr(obj, f.name), f"{section}.{f.name}")
+            key, value = f"{section}.{f.name}", getattr(obj, f.name)
+            if f.type == "int" or (f.type == "int | str" and not isinstance(value, str)):
+                _number(value, key)
+            elif f.type.startswith("tuple["):
+                elements = f.type[len("tuple["):-1].split(", ")
+                if len(value) != len(elements):
+                    raise ConfigError(f"config field {key!r} must hold "
+                                      f"{len(elements)} values, got {list(value)!r}")
+                for i, (kind, v) in enumerate(zip(elements, value)):
+                    _number(v, f"{key}[{i}]", kinds[kind])
 
 
 def replace_cohorts(cfg: RunConfig, specs_path) -> RunConfig:
@@ -121,7 +132,7 @@ def replace_cohorts(cfg: RunConfig, specs_path) -> RunConfig:
     if not isinstance(doc, list):
         raise ConfigError(f"cohort specs {path} must be a JSON array")
     cohorts = tuple(CohortSpec.from_dict(c) for c in doc)
-    _check_ints({f"cohorts[{i}]": c for i, c in enumerate(cohorts)})
+    _check_numbers({f"cohorts[{i}]": c for i, c in enumerate(cohorts)})
     return dataclasses.replace(cfg, cohorts=cohorts)
 
 
@@ -148,6 +159,9 @@ def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = N
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
 
+    for key in ("work_dir", "manifest"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"config field {key!r} must be a string, got {doc[key]!r}")
     base_dir = Path(base_dir)
     work_dir = Path(workdir_override) if workdir_override else \
         base_dir / doc.get("work_dir", "work")
@@ -168,9 +182,9 @@ def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = N
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config structure: {exc}") from exc
 
-    _check_ints({"encoder": encoder, "crops": crops, "forest": forest,
-                 "protocol": protocol,
-                 **{f"cohorts[{i}]": c for i, c in enumerate(cohorts)}})
+    _check_numbers({"encoder": encoder, "crops": crops, "forest": forest,
+                    "protocol": protocol,
+                    **{f"cohorts[{i}]": c for i, c in enumerate(cohorts)}})
     if seed_override is not None:
         protocol = dataclasses.replace(protocol, base_seed=seed_override)
 

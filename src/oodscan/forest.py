@@ -82,6 +82,7 @@ class Forest:
     seed: int
     params: RFParams
     _flat: list | None = field(default=None, repr=False, compare=False)
+    _shap_plan: object = field(default=None, repr=False, compare=False)
 
 
 def balanced_weights(labels: np.ndarray) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,6 +94,126 @@ def brute_force_shapley(node, x, n_features: int) -> np.ndarray:
                 gain = tree_value(node, x, set(subset) | {i}) - tree_value(node, x, set(subset))
                 phi[i] += weight * gain
     return phi
+
+
+
+@dataclass
+class _PathElement:
+    feature: int
+    zero_fraction: float  # proportion of paths flowing through when absent
+    one_fraction: float  # 1 if the input follows this split, else 0
+    pweight: float
+
+
+def _extend(path, zero_fraction, one_fraction, feature):
+    path = [
+        _PathElement(p.feature, p.zero_fraction, p.one_fraction, p.pweight)
+        for p in path
+    ]
+    depth = len(path)
+    path.append(_PathElement(feature, zero_fraction, one_fraction,
+                             1.0 if depth == 0 else 0.0))
+    for i in range(depth - 1, -1, -1):
+        path[i + 1].pweight += one_fraction * path[i].pweight * (i + 1) / (depth + 1)
+        path[i].pweight = zero_fraction * path[i].pweight * (depth - i) / (depth + 1)
+    return path
+
+
+def _unwind(path, index):
+    depth = len(path) - 1
+    one = path[index].one_fraction
+    zero = path[index].zero_fraction
+    out = [_PathElement(p.feature, p.zero_fraction, p.one_fraction, p.pweight)
+           for p in path]
+    next_one = out[depth].pweight
+    for i in range(depth - 1, -1, -1):
+        if one != 0.0:
+            tmp = out[i].pweight
+            out[i].pweight = next_one * (depth + 1) / ((i + 1) * one)
+            next_one = tmp - out[i].pweight * zero * (depth - i) / (depth + 1)
+        else:
+            out[i].pweight = out[i].pweight * (depth + 1) / (zero * (depth - i))
+    for i in range(index, depth):
+        out[i].feature = out[i + 1].feature
+        out[i].zero_fraction = out[i + 1].zero_fraction
+        out[i].one_fraction = out[i + 1].one_fraction
+    return out[:-1]
+
+
+def _unwound_sum(path, index):
+    depth = len(path) - 1
+    one = path[index].one_fraction
+    zero = path[index].zero_fraction
+    total = 0.0
+    if one != 0.0:
+        next_one = path[depth].pweight
+        for i in range(depth - 1, -1, -1):
+            tmp = next_one * (depth + 1) / ((i + 1) * one)
+            total += tmp
+            next_one = path[i].pweight - tmp * zero * (depth - i) / (depth + 1)
+    else:
+        for i in range(depth - 1, -1, -1):
+            total += path[i].pweight * (depth + 1) / (zero * (depth - i))
+    return total
+
+
+def _tree_shap(node, x, phi, path, parent_zero, parent_one, parent_feature):
+    path = _extend(path, parent_zero, parent_one, parent_feature)
+    if node.is_leaf():
+        for i in range(1, len(path)):
+            w = _unwound_sum(path, i)
+            el = path[i]
+            phi[el.feature] += w * (el.one_fraction - el.zero_fraction) * node.dist[1]
+        return
+
+    hot, cold = (node.left, node.right) if x[node.feature] <= node.threshold \
+        else (node.right, node.left)
+    incoming_zero = 1.0
+    incoming_one = 1.0
+    for k in range(1, len(path)):  # index 0 is the dummy root element
+        if path[k].feature == node.feature:
+            incoming_zero = path[k].zero_fraction
+            incoming_one = path[k].one_fraction
+            path = _unwind(path, k)
+            break
+    hot_frac = hot.cover / node.cover
+    cold_frac = cold.cover / node.cover
+    _tree_shap(hot, x, phi, path, incoming_zero * hot_frac, incoming_one, node.feature)
+    _tree_shap(cold, x, phi, path, incoming_zero * cold_frac, 0.0, node.feature)
+
+
+def _expectation(node) -> float:
+    if node.is_leaf():
+        return node.dist[1]
+    lf = node.left.cover / node.cover
+    rf = node.right.cover / node.cover
+    return lf * _expectation(node.left) + rf * _expectation(node.right)
+
+
+def _leaf_p1(node, x) -> float:
+    while not node.is_leaf():
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.dist[1]
+
+
+def per_row_tree_shap(forest, x):
+    """(base value, contributions, prediction) of path-dependent TreeSHAP,
+    one tree, one leaf and one path element at a time: the package's
+    TreeSHAP before it ran every leaf of the forest at once.
+
+    Recursion as in Lundberg et al. 2018, Alg. 2, with leaves visited hot
+    child first. Per-tree values are summed over trees in order and divided
+    by the tree count; so is the prediction (each tree's leaf P(OOD)).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    phi = np.zeros(forest.n_features)
+    base = prediction = 0.0
+    for tree in forest.trees:
+        _tree_shap(tree, x, phi, [], 1.0, 1.0, -1)
+        base += _expectation(tree)
+        prediction += _leaf_p1(tree, x)
+    phi /= len(forest.trees)
+    return base / len(forest.trees), phi, prediction / len(forest.trees)
 
 
 # --- masked multi-scale features ------------------------------------------

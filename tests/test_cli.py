@@ -364,6 +364,36 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, overrides):
         "error stage=config ConfigError: ")
 
 
+COHORT = {"cohort_name": "lung", "cohort_label": "ID", "n_scans": 4, "seed": 21,
+          "blob_radius": [2.0, 3.0]}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("extract", {"crops": {"size": [8.5, 8, 8]}}),
+    ("gen", {"cohorts": [dict(COHORT, dims=[16.5, 16, 16])]}),
+    ("gen", {"cohorts": [dict(COHORT, dims=[16, 16])]}),
+    ("gen", {"cohorts": [dict(COHORT, blob_count=[1, 2.5])]}),
+    ("gen", {"cohorts": [dict(COHORT, spacing=["a", 1, 1])]}),
+    ("encode", {"encoder": {"widths": [4, 4, 8, 8, 8.5]}}),
+    ("train", {"forest": {"n_trees": 6, "max_features": 2.5}}),
+    ("train", {"forest": {"n_trees": 6, "max_features": True}}),
+    ("gen", {"work_dir": 3}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_malformed_list_or_path_config_value_exits_2(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error stage=config ConfigError: ")
+
+
+def test_negative_explain_limit_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert main(["explain", "--config", str(cfg_path), "--limit", "-3"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error stage=config ConfigError: ")
+    assert not (tmp_path / "work" / "shap_deep.csv").exists()
+
+
 def test_config_hash_semantics(tmp_path):
     cfg_path = write_config(tmp_path)
     base = load_config(cfg_path).config_hash()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oodscan.forest import Forest, RFParams, TreeNode, fit_forest, predict_proba
 from oodscan.rng import SplitMix64
 from oodscan.treeshap import tree_shap
 
-from oracles import brute_force_shapley, tree_value
+from oracles import brute_force_shapley, per_row_tree_shap, tree_value
 
 
 def leaf(value, cover):
@@ -117,3 +118,92 @@ def test_dimension_mismatch_rejected():
     forest = one_tree_forest(leaf(0.5, 1.0), 2)
     with pytest.raises(ValueError):
         tree_shap(forest, np.zeros(3))
+
+
+# --- the forest-at-once TreeSHAP against the per-row recursion ------------
+
+@st.composite
+def hand_built_forests(draw):
+    """Up to 5 random trees over few or many features: repeated features on a
+    path, single-leaf trees, and thin trees with paths deeper than 12."""
+    n_features = draw(st.integers(1, 16))
+    budget = [draw(st.integers(1, 40))]  # splits left across the forest
+    values = st.floats(0.0, 1.0)
+    covers = st.floats(0.5, 8.0)
+
+    def build(depth):
+        if budget[0] == 0 or depth >= 18 or draw(st.integers(0, 3)) == 0:
+            return leaf(draw(values), draw(covers))
+        budget[0] -= 1
+        feature = draw(st.integers(0, n_features - 1))
+        threshold = draw(st.sampled_from([0.25, 0.5, 0.75]))
+        return split(feature, threshold, build(depth + 1), build(depth + 1))
+
+    trees = [build(0) for _ in range(draw(st.integers(1, 5)))]
+    return Forest(trees=trees, n_features=n_features,
+                  feature_names=tuple(f"f{j}" for j in range(n_features)),
+                  seed=0, params=RFParams(n_trees=len(trees)))
+
+
+@st.composite
+def fitted_forests(draw):
+    """Forests as ``train`` fits them: many features and deep trees, as on
+    the deep table, or two features reused down every path, as on the
+    radiomics table."""
+    n_features = draw(st.sampled_from([2, 24]))
+    n = draw(st.integers(12, 60))
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+    X = rng.normal_block(n * n_features).reshape(n, n_features).round(1)
+    y = np.array([i % 2 for i in range(n)])
+    params = RFParams(n_trees=draw(st.integers(1, 8)), max_depth=draw(st.integers(1, 20)))
+    return fit_forest(X, y, params, seed=draw(st.integers(0, 99)))
+
+
+def rows_for(draw, forest):
+    """Feature rows that sit exactly on the forest's thresholds, or off them."""
+    thresholds = [0.0]
+    stack = list(forest.trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf():
+            thresholds.append(node.threshold)
+            stack += (node.left, node.right)
+    value = st.one_of(st.sampled_from(thresholds), st.floats(-3.0, 3.0))
+    return [np.array(draw(st.lists(value, min_size=forest.n_features,
+                                   max_size=forest.n_features)))
+            for _ in range(3)]
+
+
+def assert_bit_equal_to_per_row(forest, x):
+    exp = tree_shap(forest, x)
+    base, phi, prediction = per_row_tree_shap(forest, x)
+    assert np.array_equal(exp.contributions, phi)
+    assert exp.base_value == base
+    assert exp.prediction == prediction
+
+
+@given(st.one_of(hand_built_forests(), fitted_forests()), st.data())
+def test_forest_at_once_is_bit_equal_to_per_row_recursion(forest, data):
+    for x in rows_for(data.draw, forest):
+        assert_bit_equal_to_per_row(forest, x)
+
+
+def test_all_leaf_forest_attributes_nothing():
+    trees = [leaf(0.2, 3.0), leaf(0.9, 1.0), leaf(0.4, 2.0)]
+    forest = Forest(trees=trees, n_features=2, feature_names=("f0", "f1"),
+                    seed=0, params=RFParams(n_trees=3))
+    x = np.array([0.3, 0.7])
+    assert_bit_equal_to_per_row(forest, x)
+    assert np.array_equal(tree_shap(forest, x).contributions, np.zeros(2))
+
+
+def test_path_deeper_than_twelve_with_repeats():
+    # a 16-split spine over 14 features: two features come back near the leaf
+    features = list(range(14)) + [3, 9]
+    node = leaf(0.7, 1.0)
+    for depth, f in reversed(list(enumerate(features))):
+        node = split(f, 0.5, node, leaf(depth / 16, 1.5)) if depth % 2 \
+            else split(f, 0.5, leaf(depth / 16, 1.5), node)
+    forest = one_tree_forest(node, 14)
+    for x in (np.full(14, 0.5), np.linspace(0.0, 1.0, 14), np.full(14, 0.75)):
+        assert_bit_equal_to_per_row(forest, x)
