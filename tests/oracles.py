@@ -286,6 +286,65 @@ def per_feature_best_split(Xn, w0n, w1n, feat_ids, parent_impurity):
     return best
 
 
+def float_key_best_split(V, w0n, w1n, W0, W1, parent_impurity):
+    """Best (decrease, column, threshold) over the columns of ``V``, or None:
+    the random forest's 2-D split search before it sorted rank keys, with
+    the stable sort, boundaries and threshold all on the float values.
+
+    ``V`` holds the node's rows of the candidate features in ascending
+    feature order; ties go to the lowest threshold, then the lowest column.
+    """
+    order = np.argsort(V, axis=0, kind="stable")
+    vs = V[order, np.arange(V.shape[1])]
+    boundary = vs[:-1] < vs[1:]
+    has_boundary = boundary.any(axis=0)
+    if not has_boundary.any():
+        return None
+    l0 = np.cumsum(w0n[order], axis=0)[:-1]
+    l1 = np.cumsum(w1n[order], axis=0)[:-1]
+    r0, r1 = W0 - l0, W1 - l1
+    wl, wr = l0 + l1, r0 + r1
+    dec = parent_impurity - (wl - (l0 * l0 + l1 * l1) / wl) - (wr - (r0 * r0 + r1 * r1) / wr)
+    dec[~boundary] = -np.inf
+    rows = np.argmax(dec, axis=0)
+    best = None
+    for c in np.flatnonzero(has_boundary).tolist():
+        k = int(rows[c])
+        if best is None or dec[k, c] > best[0]:
+            best = (float(dec[k, c]), c, float((vs[k, c] + vs[k + 1, c]) / 2.0))
+    return best
+
+
+def float_key_tree(X, y, w, max_depth, min_samples_split, m, rng):
+    """One CART tree grown on ``float_key_best_split`` with the feature
+    subsets drawn from ``rng`` depth-first, left child first: the forest's
+    tree fitting before it searched rank keys. Nested tuples: ``("leaf",
+    dist, cover)`` and ``("split", feature, threshold, dist, cover, left,
+    right)``."""
+    d = X.shape[1]
+    w0_all, w1_all = w * (y == 0), w * (y == 1)
+
+    def grow(idx, depth):
+        w0n, w1n = w0_all[idx], w1_all[idx]
+        W0, W1 = w0n.sum(), w1n.sum()
+        total = float(W0 + W1)
+        dist = (float(W0) / total, float(W1) / total)
+        if depth >= max_depth or idx.size < min_samples_split or W0 == 0.0 or W1 == 0.0:
+            return ("leaf", dist, total)
+        cols = sorted(rng.sample_indices(d, m))
+        a, b = float(W0), float(W1)
+        parent = (a + b) - (a * a + b * b) / (a + b)
+        split = float_key_best_split(X[idx[:, None], cols], w0n, w1n, W0, W1, parent)
+        if split is None:
+            return ("leaf", dist, total)
+        _, c, thr = split
+        go_left = X[idx, cols[c]] <= thr
+        return ("split", cols[c], thr, dist, total,
+                grow(idx[go_left], depth + 1), grow(idx[~go_left], depth + 1))
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
 def scalar_sample_indices(rng, n: int, k: int) -> list[int]:
     """Partial Fisher-Yates with one scalar ``randrange`` per step."""
     pool = list(range(n))
@@ -311,3 +370,47 @@ def seed_whose_draw_is(word: int, draw: int) -> int:
     z = unxorshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask, 27)
     z = unxorshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask, 30)
     return (z - (draw + 1) * 0x9E3779B97F4A7C15) & mask
+
+
+# --- prediction ---------------------------------------------------------------
+
+def _flatten_one(tree):
+    feats, thrs, lefts, rights, p1s = [], [], [], [], []
+
+    def add(node) -> int:
+        i = len(feats)
+        feats.append(node.feature)
+        thrs.append(node.threshold)
+        lefts.append(0)
+        rights.append(0)
+        p1s.append(node.dist[1])
+        if not node.is_leaf():
+            lefts[i] = add(node.left)
+            rights[i] = add(node.right)
+        return i
+
+    add(tree)
+    return (np.array(feats), np.array(thrs), np.array(lefts),
+            np.array(rights), np.array(p1s))
+
+
+def per_tree_predict_proba(forest, X):
+    """(n, 2) class probabilities one tree at a time, each tree walked by all
+    rows level by level: the forest's batch prediction before it walked
+    every tree at once."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    p1 = np.zeros(n)
+    rows = np.arange(n)
+    for tree in forest.trees:
+        feats, thrs, lefts, rights, leaf_p1 = _flatten_one(tree)
+        node = np.zeros(n, dtype=np.int64)
+        active = feats[node] >= 0
+        while active.any():
+            cur = node[active]
+            take_left = X[rows[active], feats[cur]] <= thrs[cur]
+            node[active] = np.where(take_left, lefts[cur], rights[cur])
+            active = feats[node] >= 0
+        p1 += leaf_p1[node]
+    p1 /= len(forest.trees)
+    return np.stack([1.0 - p1, p1], axis=1)

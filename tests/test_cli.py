@@ -198,6 +198,49 @@ def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, ca
     assert err.splitlines()[-1].startswith(f"error stage={command} DataError: ")
 
 
+def _edit_model(edit):
+    def corrupt(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+def _first(doc, key: str) -> dict:
+    """The first node in preorder over the trees that has ``key``: "feature"
+    for a split, "leaf" for a leaf."""
+    stack = list(reversed(doc["trees"]))
+    while key not in stack[-1]:
+        node = stack.pop()
+        if "feature" in node:
+            stack += [node["right"], node["left"]]
+    return stack[-1]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: _first(doc, "feature").update(feature=9999), id="feature-too-large"),
+    pytest.param(lambda doc: _first(doc, "feature").update(feature=-3), id="feature-negative"),
+    pytest.param(lambda doc: _first(doc, "feature").update(threshold="0.5"),
+                 id="threshold-string"),
+    pytest.param(lambda doc: _first(doc, "feature").update(threshold=float("nan")),
+                 id="threshold-nan"),
+    pytest.param(lambda doc: _first(doc, "leaf").update(leaf=[1.0]), id="leaf-of-one"),
+    pytest.param(lambda doc: doc.update(trees=[]), id="no-trees"),
+    pytest.param(lambda doc: doc["feature_names"].pop(), id="names-short"),
+])
+def test_malformed_model_is_data_error_naming_file(finished_run, tmp_path, capsys, edit):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    victim = run / "work" / "rf_deep.model.json"
+    victim.write_text(_edit_model(edit)(victim.read_text()))
+
+    code = main(["explain", "--config", str(run / "config.json")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.splitlines()[-1].startswith("error stage=explain DataError: ")
+    assert "rf_deep.model.json" in err
+
+
 def _sb4_with_16_channels(work: Path) -> None:
     # a valid SB4 stage with 16 channels where every other scan has 8
     victim = work / "kidney_0002_p4.ovf"

@@ -1,8 +1,12 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oodscan.forest import (
+    MODEL_FORMAT,
     Forest,
     RFParams,
     TreeNode,
@@ -14,14 +18,22 @@ from oodscan.forest import (
     predict_proba,
     predict_proba_batch,
     predict_scan,
+    rank_keys,
     sample_weight_vector,
+    save_model,
+    _PAIR_BLOCK,
     _best_split,
     _impurity,
-    save_model,
+    _node_to_doc,
 )
 from oodscan.rng import SplitMix64, derive
 
-from oracles import per_feature_best_split
+from oracles import (
+    float_key_best_split,
+    float_key_tree,
+    per_feature_best_split,
+    per_tree_predict_proba,
+)
 
 
 def gaussian_blobs(n=200, separation=6.0, seed=3, d=2):
@@ -105,9 +117,10 @@ def test_2d_split_search_is_bit_equal_to_per_feature_search(node):
     W0, W1 = w0n.sum(), w1n.sum()
     parent = _impurity(float(W0), float(W1))
     cols = sorted(feat_ids)
-    got = _best_split(X[:, cols], w0n, w1n, W0, W1, parent)
+    got = _best_split(rank_keys(X[:, cols]), w0n, w1n, W0, W1, parent)
     if got is not None:
-        got = (got[0], cols[got[1]], got[2])
+        dec, c, a, b = got
+        got = (dec, cols[c], float((X[a, cols[c]] + X[b, cols[c]]) / 2.0))
     assert _bits(got) == _bits(per_feature_best_split(X, w0n, w1n, feat_ids, parent))
 
 
@@ -117,9 +130,97 @@ def test_split_ties_go_to_lowest_feature_then_lowest_threshold():
                   [4.0, 5.0, 4.0], [5.0, 5.0, 5.0]])
     y = np.array([0, 0, 1, 1, 0, 0])
     w0n, w1n = 1.0 * (y == 0), 1.0 * (y == 1)
-    dec, col, thr = _best_split(X[:, [0, 1, 2]], w0n, w1n, 4.0, 2.0, _impurity(4.0, 2.0))
+    dec, col, a, b = _best_split(rank_keys(X[:, [0, 1, 2]]), w0n, w1n, 4.0, 2.0,
+                                 _impurity(4.0, 2.0))
+    thr = (X[a, col] + X[b, col]) / 2.0
     assert (col, thr) == (0, 1.5)
-    assert _best_split(X[:, [1]], w0n, w1n, 4.0, 2.0, _impurity(4.0, 2.0)) is None
+    assert _best_split(rank_keys(X[:, [1]]), w0n, w1n, 4.0, 2.0, _impurity(4.0, 2.0)) is None
+
+
+@st.composite
+def rank_key_nodes(draw):
+    """A float matrix whose columns stress rank keys (ties across distinct
+    rows, +-0.0, runs of adjacent floats, all-equal columns), bootstrap rows
+    of it that repeat some rows, and the sample's labels and weights."""
+    n = draw(st.integers(2, 48))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["floats", "ties", "zeros", "adjacent", "equal"]))
+        if kind == "floats":
+            values = st.floats(-1e3, 1e3)
+        elif kind == "ties":
+            values = st.sampled_from([-1.5, 0.25, 3.0])
+        elif kind == "zeros":
+            values = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        elif kind == "adjacent":
+            ladder = [draw(st.floats(-1e3, 1e3))]
+            for _ in range(3):
+                ladder.append(float(np.nextafter(ladder[-1], np.inf)))
+            values = st.sampled_from(ladder)
+        else:
+            values = st.just(draw(st.floats(-5, 5)))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    X = np.array(columns, dtype=np.float64).T
+    bidx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([0.625, 2.5]) | st.floats(0.01, 10),
+                               min_size=n, max_size=n)))
+    return X, bidx, y, w
+
+
+@given(rank_key_nodes())
+def test_rank_key_search_is_bit_equal_to_float_key_search(node):
+    X, bidx, y, w = node
+    V = X[bidx]
+    w0n, w1n = w * (y == 0), w * (y == 1)
+    W0, W1 = w0n.sum(), w1n.sum()
+    parent = _impurity(float(W0), float(W1))
+    want = float_key_best_split(V, w0n, w1n, W0, W1, parent)
+    # ranks of the whole matrix taken at the bootstrap rows, as fit_forest
+    # passes them, and ranks of the sample itself, as fit_tree computes them
+    for K in (rank_keys(X)[bidx], rank_keys(V)):
+        got = _best_split(K, w0n, w1n, W0, W1, parent)
+        if got is not None:
+            dec, c, a, b = got
+            got = (dec, c, float((V[a, c] + V[b, c]) / 2.0))
+        assert _bits(got) == _bits(want)
+
+
+def _tree_tuple(node):
+    if node.is_leaf():
+        return ("leaf", node.dist, node.cover)
+    return ("split", node.feature, node.threshold, node.dist, node.cover,
+            _tree_tuple(node.left), _tree_tuple(node.right))
+
+
+def _outcome(grow):
+    # repr tells -0.0 from 0.0 and prints every float exactly. A midpoint of
+    # adjacent floats can round onto the upper one and leave a child empty,
+    # whose class fractions then divide by zero: both fits must do the same.
+    try:
+        return repr(grow())
+    except ZeroDivisionError:
+        return "empty child"
+
+
+@given(rank_key_nodes(), st.data())
+def test_rank_key_tree_is_bit_equal_to_float_key_tree(node, data):
+    X, bidx, y, w = node
+    seed = data.draw(st.integers(0, 2**32))
+    m = data.draw(st.integers(1, X.shape[1]))
+    params = RFParams(max_depth=data.draw(st.integers(1, 8)), max_features=m)
+    want = _outcome(lambda: float_key_tree(X[bidx], y, w, params.max_depth, 2, m,
+                                           SplitMix64(seed)))
+    for ranks in (rank_keys(X)[bidx], None):
+        assert _outcome(lambda: _tree_tuple(fit_tree(X[bidx], y, w, params, SplitMix64(seed),
+                                                     ranks=ranks))) == want
+
+
+def test_fit_tree_rejects_ranks_of_another_shape():
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        fit_tree(X, np.array([0, 1]), np.ones(2), RFParams(), SplitMix64(0),
+                 ranks=rank_keys(X[:, :1]))
 
 
 # --- single trees -------------------------------------------------------------
@@ -241,6 +342,50 @@ def test_predict_scan_averages_crops():
     assert predict_scan(forest, crops) == pytest.approx(0.4)  # mean of .2, .6
     assert predict_scan(forest, crops[::-1]) == pytest.approx(0.4)  # order-free
     assert predict_scan(forest, np.array([[0.0], [0.0]])) == pytest.approx(0.2)
+
+
+@st.composite
+def forests_and_rows(draw):
+    """Hand-built forests (single-leaf trees among them, thresholds that rows
+    hit exactly, +-0.0) and one or many rows to predict."""
+    n_features = draw(st.integers(1, 5))
+    thresholds = st.sampled_from([-0.0, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+    def build(depth):
+        if depth >= 8 or draw(st.integers(0, 2)) == 0:
+            p1 = draw(st.floats(0.0, 1.0))
+            return TreeNode(dist=(1.0 - p1, p1), cover=1.0)
+        return TreeNode(feature=draw(st.integers(0, n_features - 1)),
+                        threshold=draw(thresholds), cover=2.0, dist=(0.5, 0.5),
+                        left=build(depth + 1), right=build(depth + 1))
+
+    trees = [build(0) for _ in range(draw(st.integers(1, 6)))]
+    forest = Forest(trees=trees, n_features=n_features,
+                    feature_names=tuple(f"f{j}" for j in range(n_features)),
+                    seed=0, params=RFParams(n_trees=len(trees)))
+    n = draw(st.sampled_from([1, draw(st.integers(2, 40))]))
+    values = st.lists(thresholds, min_size=n * n_features, max_size=n * n_features)
+    return forest, np.array(draw(values)).reshape(n, n_features)
+
+
+@given(forests_and_rows())
+def test_stacked_prediction_is_bit_equal_to_per_tree_prediction(forest_rows):
+    forest, X = forest_rows
+    want = per_tree_predict_proba(forest, X)
+    assert predict_proba_batch(forest, X).tobytes() == want.tobytes()
+    assert predict_proba(forest, X[0]) == tuple(want[0])
+
+
+@pytest.mark.parametrize("rows", [500, 5000])  # several trees a block; one tree a block
+def test_prediction_over_several_blocks_is_bit_equal_to_per_tree_prediction(rows):
+    X, y = gaussian_blobs(n=120, separation=1.0, d=3)
+    forest = fit_forest(X, y, RFParams(n_trees=40, max_depth=3), seed=3)  # impure leaves
+    probe = gaussian_blobs(n=rows, separation=1.0, seed=11, d=3)[0]
+    assert 40 * rows > 2 * _PAIR_BLOCK
+    assert predict_proba_batch(forest, probe).tobytes() == \
+        per_tree_predict_proba(forest, probe).tobytes()
+    # one row of 40 trees: a sum over trees that went pairwise would differ
+    assert predict_proba(forest, probe[0]) == tuple(per_tree_predict_proba(forest, probe[:1])[0])
 
 
 # --- monotone transform invariance --------------------------------------------
@@ -377,3 +522,33 @@ def test_model_round_trip_bit_exact(tmp_path):
                           predict_proba_batch(back, probe))
     assert back.feature_names == forest.feature_names
     assert back.params == forest.params
+
+
+def _whole_model_document(forest):
+    return {
+        "format": MODEL_FORMAT,
+        "params": asdict(forest.params),
+        "n_features": forest.n_features,
+        "feature_names": list(forest.feature_names),
+        "seed": forest.seed,
+        "trees": [_node_to_doc(t) for t in forest.trees],
+    }
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: fit_forest(*gaussian_blobs(n=60, separation=1.0, d=3),
+                                    RFParams(n_trees=7, max_depth=5), seed=2), id="fitted"),
+    pytest.param(lambda: leaf_forest([(0.25, 0.75)]), id="one-leaf"),
+    pytest.param(lambda: Forest(
+        trees=[TreeNode(feature=1, threshold=-0.0, cover=3.0, dist=(0.5, 0.5),
+                        left=TreeNode(dist=(1.0, 0.0), cover=1.0),
+                        right=TreeNode(dist=(1 / 3, 2 / 3), cover=2.0)),
+               TreeNode(dist=(0.1, 0.9), cover=4.0)],
+        n_features=2, feature_names=('quote"d', "ünï"), seed=2**64 - 1,
+        params=RFParams(n_trees=2, max_features=1)), id="hand-built"),
+])
+def test_streamed_model_bytes_equal_whole_document_dump(tmp_path, make):
+    forest = make()
+    p = tmp_path / "model.json"
+    save_model(forest, p)
+    assert p.read_text() == json.dumps(_whole_model_document(forest)) + "\n"
