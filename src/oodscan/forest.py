@@ -178,20 +178,26 @@ def _best_split(K, w0n, w1n, W0, W1, parent_impurity):
 
 def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
              params: RFParams, rng: SplitMix64, *,
-             ranks: np.ndarray | None = None) -> TreeNode:
+             ranks: np.ndarray | None = None,
+             rows: np.ndarray | None = None) -> TreeNode:
     """Grow one CART tree; feature subsets come from ``rng`` depth-first,
     left child first.
 
     ``ranks`` are rank keys of ``X`` (``rank_keys`` of ``X`` or of any
     matrix whose rows ``X`` repeats); by default they are computed here.
+    ``rows`` grows the tree on the rows ``X[rows]`` (with repeats, in that
+    order) without copying them; the caller has then checked that ``X`` is
+    finite, as ``fit_forest`` does once for all its trees.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(sample_weight, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("fit_tree needs a non-empty 2-D matrix")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("fit_tree features must be finite")
+    if rows is None:
+        if not np.all(np.isfinite(X)):
+            raise ValueError("fit_tree features must be finite")
+        rows = np.arange(X.shape[0])
     if y.shape[0] != X.shape[0] or w.shape[0] != X.shape[0]:
         raise ValueError("labels/weights must match the row count")
     if ranks is None:
@@ -224,9 +230,13 @@ def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
             return leaf
         _, c, a, b = split
         j = cols[c]
-        thr = float((X[idx[a], j] + X[idx[b], j]) / 2.0)
-        # the cut is on floats: a midpoint of adjacent floats can round onto
-        # the upper value, which then goes left
+        lower, upper = float(X[idx[a], j]), float(X[idx[b], j])
+        thr = (lower + upper) / 2.0
+        if not lower <= thr < upper:
+            # the midpoint of adjacent floats can round onto the upper value,
+            # and the sum can overflow: cut at the lower value, as scikit-learn
+            # does, so that the rows go where the search scored them
+            thr = lower
         go_left = X[idx, j] <= thr
         node = TreeNode(feature=j, threshold=thr)
         node.left = grow(idx[go_left], depth + 1)
@@ -236,7 +246,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
         return node
 
     try:
-        return grow(np.arange(X.shape[0]), 0)
+        return grow(np.asarray(rows, dtype=np.intp), 0)
     finally:
         # grow's closure holds grow itself: emptying that cell ends the cycle,
         # so X and the weights are freed now, not at the next cyclic collection
@@ -247,11 +257,14 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
                feature_names: tuple[str, ...] | None = None) -> Forest:
     """Bootstrap + balanced-weight ensemble, deterministic in ``seed``.
 
-    Rank keys are computed once here; each tree gets its bootstrap rows.
+    Finiteness is checked and rank keys are computed once here; each tree
+    indexes the shared matrices at its bootstrap rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
+    if not np.all(np.isfinite(X)):
+        raise ValueError("fit_forest features must be finite")
     weights = sample_weight_vector(y)  # raises on single-class input
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))
@@ -263,8 +276,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
     for t in range(params.n_trees):
         rng = SplitMix64(derive(seed, "tree", t))
         bidx = rng.randrange_block(n, n)
-        trees.append(fit_tree(X[bidx], y[bidx], weights[bidx], params, rng,
-                              ranks=R[bidx]))
+        trees.append(fit_tree(X, y, weights, params, rng, ranks=R, rows=bidx))
     return Forest(trees=trees, n_features=d, feature_names=tuple(feature_names),
                   seed=seed, params=params)
 

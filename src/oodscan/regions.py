@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .rng import SplitMix64, derive
 from .volumes import STAGE_IDS, FeaturePyramid, Grid
@@ -24,7 +23,9 @@ from .volumes import STAGE_IDS, FeaturePyramid, Grid
 # gets to see it.
 EMPTY_MASK_FEATURE = "empty_mask"
 
-_CONNECTIVITY_26 = np.ones((3, 3, 3), dtype=bool)
+# The 13 of the 26 neighbour offsets that come later in C order: every pair
+# of touching voxels is one edge from the earlier voxel to the later one.
+_FORWARD_26 = np.array([d for d in np.ndindex(3, 3, 3) if d > (1, 1, 1)]) - 1
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,44 @@ def connected_components(mask: Grid) -> list[np.ndarray]:
     """26-connectivity foreground components as (n_i, 3) voxel index arrays.
 
     Sorted by size descending; ties broken by the smallest (z, y, x) voxel
-    contained in the component.
+    contained in the component. Each array lists its voxels in C order.
+
+    Union-find over the foreground voxels, numbered in C order: each voxel
+    has an edge to each of its 13 later neighbours, found through an index
+    volume padded by one background voxel per side. Each round hooks the
+    larger root of every edge whose ends have different roots onto the
+    smaller one (``np.minimum.at``), then jumps pointers until every voxel
+    points at its root (after Shiloach & Vishkin 1982). A voxel's parent
+    never exceeds it, so each component's root is its first voxel.
     """
-    labels, n = ndimage.label(mask.data, structure=_CONNECTIVITY_26)
-    comps = []
-    for lbl in range(1, n + 1):
-        coords = np.argwhere(labels == lbl)
-        comps.append(coords)
-    comps.sort(key=lambda c: (-len(c), tuple(c[0])))  # argwhere rows are C-ordered
-    return comps
+    padded = tuple(d + 2 for d in mask.data.shape)
+    fg = np.zeros(padded, dtype=bool)
+    fg[1:-1, 1:-1, 1:-1] = mask.data
+    at = np.flatnonzero(fg)  # the padded volume's C order is the mask's
+    n = at.size
+    if n == 0:
+        return []
+    index = np.full(fg.size, -1, dtype=np.intp)
+    index[at] = np.arange(n)
+    later = index[at[:, None] + _FORWARD_26 @ np.array([padded[1] * padded[2], padded[2], 1])]
+    touching = later >= 0
+    a = np.nonzero(touching)[0]
+    b = later[touching]
+    parent = np.arange(n)
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        apart = parent[a] != parent[b]
+        a, b = a[apart], b[apart]
+    roots, sizes = np.unique(parent, return_counts=True)
+    vox = np.column_stack(np.unravel_index(at, padded)) - 1
+    groups = np.split(vox[np.argsort(parent, kind="stable")], np.cumsum(sizes)[:-1])
+    return [groups[i] for i in np.lexsort((roots, -sizes))]
 
 
 def largest_component_centroid(mask: Grid) -> tuple[float, float, float] | None:
@@ -107,18 +137,6 @@ def tumor_crops(
     return crops
 
 
-def downsample_mask_to_stage(mask: np.ndarray, factor: int) -> np.ndarray:
-    """Any-coverage (max-pool) reduction of a 3-D 0/1 array onto a
-    ceil(dims/factor) grid whose cells start at multiples of ``factor``."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    out = mask.astype(bool)
-    for axis in range(3):
-        starts = np.arange(0, out.shape[axis], factor)
-        out = np.maximum.reduceat(out, starts, axis=axis)
-    return out
-
-
 def masked_mean(stage_data: np.ndarray, stage_mask: np.ndarray) -> tuple[np.ndarray, bool]:
     """Per-channel mean of (C, ...) data over mask cells.
 
@@ -156,7 +174,7 @@ def deep_feature_vector(
     for crop in crops:
         if any(o + s > d for o, s, d in zip(crop.origin, crop.size, mask.dims)):
             raise ValueError(f"crop {crop} exceeds volume dims {mask.dims}")
-        crop_mask = mask.data[crop.slices()]
+        vox = np.argwhere(mask.data[crop.slices()]) + crop.origin
         parts = []
         fallback = False
         for stage, f in zip(pyramid.stages, pyramid.factors):
@@ -165,12 +183,9 @@ def deep_feature_vector(
                 min(-(-(o + s) // f), g)
                 for o, s, g in zip(crop.origin, crop.size, stage.dims)
             ]
-            # The crop zero-padded to the voxels [lo*f, hi*f) of the stage
-            # cells it touches; the window starts on a multiple of f, so its
-            # pooled cells are exactly the stage's cells lo..hi.
-            pad = [(o - a * f, min(b * f, d) - o - s) for o, s, a, b, d
-                   in zip(crop.origin, crop.size, lo, hi, mask.dims)]
-            stage_mask = downsample_mask_to_stage(np.pad(crop_mask, pad), f)
+            # a stage cell is covered when any mask voxel of the crop falls in it
+            stage_mask = np.zeros([b - a for a, b in zip(lo, hi)], dtype=bool)
+            stage_mask[tuple((vox // f - lo).T)] = True
             sl = tuple(slice(a, b) for a, b in zip(lo, hi))
             values, fb = masked_mean(stage.data[(slice(None),) + sl], stage_mask)
             fallback = fallback or fb

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +217,36 @@ def per_row_tree_shap(forest, x):
     return base / len(forest.trees), phi, prediction / len(forest.trees)
 
 
+# --- connected components ---------------------------------------------------
+
+def bfs_components(mask) -> list[np.ndarray]:
+    """26-connected components of the nonzero voxels by breadth-first flood
+    fill, started from each unvisited voxel in C order. Each component is an
+    (n_i, 3) array of its voxels in C order; components come by size
+    descending, then by their smallest voxel."""
+    fg = np.asarray(mask) != 0
+    seen = np.zeros(fg.shape, dtype=bool)
+    steps = [d for d in itertools.product((-1, 0, 1), repeat=3) if d != (0, 0, 0)]
+    comps = []
+    for start in np.argwhere(fg).tolist():
+        start = tuple(start)
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = deque([start]), []
+        while queue:
+            v = queue.popleft()
+            members.append(v)
+            for d in steps:
+                u = tuple(a + b for a, b in zip(v, d))
+                if all(0 <= c < n for c, n in zip(u, fg.shape)) and fg[u] and not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        comps.append(np.array(sorted(members), dtype=np.intp))
+    comps.sort(key=lambda c: (-len(c), tuple(c[0])))
+    return comps
+
+
 # --- masked multi-scale features ------------------------------------------
 
 def full_volume_crop_features(stages, factors, mask, crops) -> np.ndarray:
@@ -246,6 +277,48 @@ def full_volume_crop_features(stages, factors, mask, crops) -> np.ndarray:
             else:
                 fallback = True
                 row.extend(window.reshape(len(window), -1).mean(axis=1))
+        row.append(1.0 if fallback else 0.0)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+def downsample_mask_to_stage(mask: np.ndarray, factor: int) -> np.ndarray:
+    """Any-coverage (max-pool) reduction of a 3-D 0/1 array onto a
+    ceil(dims/factor) grid whose cells start at multiples of ``factor``."""
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    out = mask.astype(bool)
+    for axis in range(3):
+        starts = np.arange(0, out.shape[axis], factor)
+        out = np.maximum.reduceat(out, starts, axis=axis)
+    return out
+
+
+def padded_window_crop_features(stages, factors, mask, crops) -> np.ndarray:
+    """Deep feature rows by max-pooling each crop's own window: the crop's
+    mask zero-padded to the voxels [lo*f, hi*f) of the stage cells it
+    touches (cut at the volume edge), reduced by ``downsample_mask_to_stage``.
+    The package's pooling before it marked cells from voxel coordinates.
+
+    ``stages`` are (C, z, y, x) arrays, ``crops`` (origin, size) pairs.
+    """
+    rows = []
+    for origin, size in crops:
+        crop_mask = mask[tuple(slice(o, o + s) for o, s in zip(origin, size))]
+        row, fallback = [], False
+        for data, f in zip(stages, factors):
+            lo = [o // f for o in origin]
+            hi = [min(-(-(o + s) // f), g) for o, s, g in zip(origin, size, data.shape[1:])]
+            pad = [(o - a * f, min(b * f, d) - o - s)
+                   for o, s, a, b, d in zip(origin, size, lo, hi, mask.shape)]
+            sel = downsample_mask_to_stage(np.pad(crop_mask, pad), f)
+            window = data[(slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))]
+            flat = window.reshape(len(window), -1).astype(np.float64)
+            if sel.any():
+                row.extend(flat[:, sel.reshape(-1)].mean(axis=1))
+            else:
+                fallback = True
+                row.extend(flat.mean(axis=1))
         row.append(1.0 if fallback else 0.0)
         rows.append(row)
     return np.array(rows, dtype=np.float64)
@@ -287,9 +360,10 @@ def per_feature_best_split(Xn, w0n, w1n, feat_ids, parent_impurity):
 
 
 def float_key_best_split(V, w0n, w1n, W0, W1, parent_impurity):
-    """Best (decrease, column, threshold) over the columns of ``V``, or None:
-    the random forest's 2-D split search before it sorted rank keys, with
-    the stable sort, boundaries and threshold all on the float values.
+    """Best (decrease, column, lower, upper) over the columns of ``V``, or
+    None: the random forest's 2-D split search before it sorted rank keys,
+    with the stable sort and boundaries on the float values. The cut lies
+    between the sorted values ``lower`` and ``upper``.
 
     ``V`` holds the node's rows of the candidate features in ascending
     feature order; ties go to the lowest threshold, then the lowest column.
@@ -311,7 +385,7 @@ def float_key_best_split(V, w0n, w1n, W0, W1, parent_impurity):
     for c in np.flatnonzero(has_boundary).tolist():
         k = int(rows[c])
         if best is None or dec[k, c] > best[0]:
-            best = (float(dec[k, c]), c, float((vs[k, c] + vs[k + 1, c]) / 2.0))
+            best = (float(dec[k, c]), c, float(vs[k, c]), float(vs[k + 1, c]))
     return best
 
 
@@ -337,7 +411,10 @@ def float_key_tree(X, y, w, max_depth, min_samples_split, m, rng):
         split = float_key_best_split(X[idx[:, None], cols], w0n, w1n, W0, W1, parent)
         if split is None:
             return ("leaf", dist, total)
-        _, c, thr = split
+        _, c, lower, upper = split
+        thr = (lower + upper) / 2.0  # Python floats: an overflow gives inf, no warning
+        if thr == upper or math.isinf(thr):
+            thr = lower  # scikit-learn's rule: the upper value must go right
         go_left = X[idx, cols[c]] <= thr
         return ("split", cols[c], thr, dist, total,
                 grow(idx[go_left], depth + 1), grow(idx[~go_left], depth + 1))

@@ -139,17 +139,21 @@ def test_split_ties_go_to_lowest_feature_then_lowest_threshold():
 
 @st.composite
 def rank_key_nodes(draw):
-    """A float matrix whose columns stress rank keys (ties across distinct
-    rows, +-0.0, runs of adjacent floats, all-equal columns), bootstrap rows
-    of it that repeat some rows, and the sample's labels and weights."""
+    """A float matrix whose columns stress rank keys and cuts (ties across
+    distinct rows, +-0.0, runs of adjacent floats, values whose sums
+    overflow, all-equal columns), bootstrap rows of it that repeat some
+    rows, and the sample's labels and weights."""
     n = draw(st.integers(2, 48))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["floats", "ties", "zeros", "adjacent", "equal"]))
+        kind = draw(st.sampled_from(["floats", "ties", "zeros", "adjacent", "huge",
+                                     "equal"]))
         if kind == "floats":
             values = st.floats(-1e3, 1e3)
         elif kind == "ties":
             values = st.sampled_from([-1.5, 0.25, 3.0])
+        elif kind == "huge":
+            values = st.sampled_from([-1.7e308, -1.5e308, 1.5e308, 1.7e308])
         elif kind == "zeros":
             values = st.sampled_from([0.0, -0.0, 1.0, -1.0])
         elif kind == "adjacent":
@@ -182,8 +186,8 @@ def test_rank_key_search_is_bit_equal_to_float_key_search(node):
         got = _best_split(K, w0n, w1n, W0, W1, parent)
         if got is not None:
             dec, c, a, b = got
-            got = (dec, c, float((V[a, c] + V[b, c]) / 2.0))
-        assert _bits(got) == _bits(want)
+            got = (dec, c, float(V[a, c]), float(V[b, c]))
+        assert repr(got) == repr(want)
 
 
 def _tree_tuple(node):
@@ -193,14 +197,22 @@ def _tree_tuple(node):
             _tree_tuple(node.left), _tree_tuple(node.right))
 
 
-def _outcome(grow):
-    # repr tells -0.0 from 0.0 and prints every float exactly. A midpoint of
-    # adjacent floats can round onto the upper one and leave a child empty,
-    # whose class fractions then divide by zero: both fits must do the same.
-    try:
-        return repr(grow())
-    except ZeroDivisionError:
-        return "empty child"
+def assert_cuts_where_scored(tree, V, y, w, idx):
+    """Every split of a tuple tree sends left exactly the node's rows at or
+    below the lower value of the best cut a search of its column alone
+    scores, and the rest right; so neither child is empty."""
+    if tree[0] == "leaf":
+        return
+    _, f, thr, _, _, left, right = tree
+    w0n, w1n = w[idx] * (y[idx] == 0), w[idx] * (y[idx] == 1)
+    W0, W1 = w0n.sum(), w1n.sum()
+    _, _, lower, upper = float_key_best_split(V[idx][:, [f]], w0n, w1n, W0, W1,
+                                              _impurity(float(W0), float(W1)))
+    assert lower <= thr < upper
+    go_left = V[idx, f] <= thr
+    assert np.array_equal(go_left, V[idx, f] <= lower)
+    assert_cuts_where_scored(left, V, y, w, idx[go_left])
+    assert_cuts_where_scored(right, V, y, w, idx[~go_left])
 
 
 @given(rank_key_nodes(), st.data())
@@ -209,11 +221,33 @@ def test_rank_key_tree_is_bit_equal_to_float_key_tree(node, data):
     seed = data.draw(st.integers(0, 2**32))
     m = data.draw(st.integers(1, X.shape[1]))
     params = RFParams(max_depth=data.draw(st.integers(1, 8)), max_features=m)
-    want = _outcome(lambda: float_key_tree(X[bidx], y, w, params.max_depth, 2, m,
-                                           SplitMix64(seed)))
+    want = float_key_tree(X[bidx], y, w, params.max_depth, 2, m, SplitMix64(seed))
+    assert_cuts_where_scored(want, X[bidx], y, w, np.arange(len(bidx)))
+    # repr tells -0.0 from 0.0 and prints every float exactly
     for ranks in (rank_keys(X)[bidx], None):
-        assert _outcome(lambda: _tree_tuple(fit_tree(X[bidx], y, w, params, SplitMix64(seed),
-                                                     ranks=ranks))) == want
+        got = fit_tree(X[bidx], y, w, params, SplitMix64(seed), ranks=ranks)
+        assert repr(_tree_tuple(got)) == repr(want)
+
+
+@given(rank_key_nodes(), st.integers(0, 2**32))
+def test_tree_on_shared_rows_is_bit_equal_to_tree_on_their_copy(node, seed):
+    X, bidx, y, w = node  # here y and w label the rows of X
+    params = RFParams(max_depth=6, max_features=1)
+    want = fit_tree(X[bidx], y[bidx], w[bidx], params, SplitMix64(seed))
+    got = fit_tree(X, y, w, params, SplitMix64(seed), ranks=rank_keys(X), rows=bidx)
+    assert repr(_tree_tuple(got)) == repr(_tree_tuple(want))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (1 + 2**-52, 1 + 2**-51),  # the midpoint rounds onto the upper value
+    (1.5e308, 1.7e308),  # the sum overflows to inf
+    (-1.7e308, -1.5e308),  # ... and to -inf
+])
+def test_cut_whose_midpoint_is_not_below_the_upper_value_is_at_the_lower(lower, upper):
+    tree = fit_tree(np.array([[lower], [upper]]), np.array([0, 1]), np.ones(2),
+                    RFParams(max_features=1), SplitMix64(0))
+    assert tree.threshold == lower
+    assert tree.left.dist == (1.0, 0.0) and tree.right.dist == (0.0, 1.0)
 
 
 def test_fit_tree_rejects_ranks_of_another_shape():

@@ -1,21 +1,33 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import ndimage
 
+import oodscan
 from oodscan.regions import (
     EMPTY_MASK_FEATURE,
     CropBox,
     connected_components,
     deep_feature_names,
     deep_feature_vector,
-    downsample_mask_to_stage,
     masked_mean,
     tumor_crops,
 )
 from oodscan.rng import SplitMix64, derive
 from oodscan.encoder import ToyEncoderConfig, toy_encode
 from oodscan.volumes import FeaturePyramid, Grid
-from oracles import full_volume_crop_features
+from oracles import (
+    bfs_components,
+    downsample_mask_to_stage,
+    full_volume_crop_features,
+    padded_window_crop_features,
+)
 
 
 def mask_from(dims, voxels):
@@ -50,6 +62,62 @@ def test_sorted_by_size_descending():
     big = [(2, y, x) for y in range(3) for x in range(3)]
     comps = connected_components(mask_from((5, 5, 5), [(0, 0, 0)] + big))
     assert [len(c) for c in comps] == [9, 1]
+
+
+@st.composite
+def component_masks(draw):
+    dims = tuple(draw(st.integers(1, 10), label="dim") for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = draw(st.sampled_from(["density", "corner chains", "equal components"]))
+    if kind == "density":
+        density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="density")
+        return rng.random(dims) < density
+    data = np.zeros(dims, dtype=bool)
+    if kind == "corner chains":
+        # every step moves along all three axes, so consecutive voxels of a
+        # chain share a corner and nothing else
+        for _ in range(rng.integers(1, 5)):
+            v, step = rng.integers(0, dims), rng.choice([-1, 1], size=3)
+            while all(0 <= c < n for c, n in zip(v, dims)) and rng.random() < 0.9:
+                data[tuple(v)] = True
+                v = v + step
+    else:
+        # one shape inside a 2x2x2 block (whose voxels all touch) copied onto a
+        # stride-3 lattice: the copies are equal and never touch, but for the
+        # ones cut at the volume edge
+        shape = rng.random((2, 2, 2)) < 0.5
+        shape[0, 0, 0] = True
+        for z, y, x in itertools.product(*(range(0, n, 3) for n in dims)):
+            block = data[z:z + 2, y:y + 2, x:x + 2]
+            block |= shape[:block.shape[0], :block.shape[1], :block.shape[2]]
+    return data
+
+
+def scipy_components(data):
+    labels, n = ndimage.label(data, structure=np.ones((3, 3, 3), dtype=bool))
+    comps = [np.argwhere(labels == lbl) for lbl in range(1, n + 1)]
+    comps.sort(key=lambda c: (-len(c), tuple(c[0])))
+    return comps
+
+
+@given(component_masks())
+def test_components_equal_flood_fill_and_scipy_label(data):
+    got = connected_components(Grid(data.astype(np.uint8)))
+    for want in (bfs_components(data), scipy_components(data)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    env = dict(os.environ)
+    src = str(Path(oodscan.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, oodscan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # --- crops ------------------------------------------------------------------
@@ -223,11 +291,9 @@ def test_empty_crop_sets_flag_and_stays_finite(scan):
     assert np.all(np.isfinite(row))
 
 
-@given(st.data())
-def test_rows_equal_full_volume_oracle_bit_for_bit(data):
-    # dims mostly not divisible by the factors; crops at random places,
-    # clamped at the volume edge by tumor_crops, and in the far corner
-    dims = tuple(data.draw(st.integers(3, 19), label="dim") for _ in range(3))
+def draw_pyramid(data, dims):
+    """A random mask of ``dims`` and a pyramid of random stages on five
+    distinct factors, each stage ceil(dims / f) cells per axis."""
     factors = sorted(data.draw(st.sets(st.integers(1, 9), min_size=5, max_size=5),
                                label="factors"))
     density = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]), label="density")
@@ -237,7 +303,20 @@ def test_rows_equal_full_volume_oracle_bit_for_bit(data):
         Grid(rng.normal(size=(c, *(-(-d // f) for d in dims))).astype(np.float32))
         for c, f in zip((1, 2, 2, 3, 5), factors)
     )
-    pyramid = FeaturePyramid(volume_dims=dims, stages=stages, factors=factors)
+    return mask, FeaturePyramid(volume_dims=dims, stages=stages, factors=factors)
+
+
+def oracle_rows(oracle, pyramid, mask, crops):
+    return oracle([s.data for s in pyramid.stages], pyramid.factors, mask.data,
+                  [(c.origin, c.size) for c in crops])
+
+
+@given(st.data())
+def test_rows_equal_full_volume_oracle_bit_for_bit(data):
+    # dims mostly not divisible by the factors; crops at random places,
+    # clamped at the volume edge by tumor_crops, and in the far corner
+    dims = tuple(data.draw(st.integers(3, 19), label="dim") for _ in range(3))
+    mask, pyramid = draw_pyramid(data, dims)
     size = tuple(data.draw(st.integers(1, d), label="size") for d in dims)
     crops = [CropBox(origin=tuple(data.draw(st.integers(0, d - s), label="origin")
                                   for d, s in zip(dims, size)), size=size),
@@ -246,9 +325,27 @@ def test_rows_equal_full_volume_oracle_bit_for_bit(data):
                          seed=data.draw(st.integers(0, 99), label="crop seed"))
 
     rows = deep_feature_vector(pyramid, mask, crops)
-    expect = full_volume_crop_features(
-        [s.data for s in stages], factors, mask.data,
-        [(c.origin, c.size) for c in crops],
-    )
+    expect = oracle_rows(full_volume_crop_features, pyramid, mask, crops)
     assert rows.dtype == np.float64
     assert rows.tobytes() == expect.tobytes()
+
+
+@given(st.data())
+def test_rows_equal_padded_window_oracle_bit_for_bit(data):
+    # a prime first axis: at least three of the five factors leave a last
+    # stage cell that reaches past the volume (hi * f > dims)
+    dims = (data.draw(st.sampled_from([5, 7, 11, 13, 17, 19]), label="prime dim"),
+            *(data.draw(st.integers(3, 19), label="dim") for _ in range(2)))
+    mask, pyramid = draw_pyramid(data, dims)
+    size = tuple(data.draw(st.integers(1, d), label="size") for d in dims)
+    inner = CropBox(origin=tuple(data.draw(st.integers(0, d - s), label="origin")
+                                 for d, s in zip(dims, size)), size=size)
+    edges = [CropBox(origin=(0, 0, 0), size=size),
+             CropBox(origin=tuple(d - s for d, s in zip(dims, size)), size=size)]
+    hollow = mask.data.copy()
+    hollow[inner.slices()] = 0  # the mask is empty inside this crop alone
+    for m, crops in ((mask, [inner] + edges), (Grid(hollow), [inner])):
+        rows = deep_feature_vector(pyramid, m, crops)
+        expect = oracle_rows(padded_window_crop_features, pyramid, m, crops)
+        assert rows.tobytes() == expect.tobytes()
+    assert rows[0, -1] == 1.0
