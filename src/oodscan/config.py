@@ -124,10 +124,10 @@ def replace_cohorts(cfg: RunConfig, specs_path) -> RunConfig:
     """Swap in cohort specs from a standalone JSON array file."""
     path = Path(specs_path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read cohort specs {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"cohort specs {path} are not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ConfigError(f"cohort specs {path} must be a JSON array")
@@ -140,10 +140,10 @@ def load_config(path, *, seed_override: int | None = None,
                 workdir_override=None, threads_override: int | None = None) -> RunConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")

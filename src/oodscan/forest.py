@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +74,47 @@ class TreeNode:
         return self.feature < 0
 
 
-@dataclass
+def _add_preorder(node: TreeNode, cols: tuple[list, ...]) -> int:
+    """Append the subtree of ``node`` to the columns ``cols`` in preorder."""
+    feature, threshold, left, right, dist, cover = cols
+    i = len(feature)
+    feature.append(node.feature)
+    threshold.append(node.threshold)
+    left.append(0)
+    right.append(0)
+    dist += node.dist
+    cover.append(node.cover)
+    if node.feature >= 0:
+        left[i] = _add_preorder(node.left, cols)
+        right[i] = _add_preorder(node.right, cols)
+    return i
+
+
 class Forest:
-    trees: list[TreeNode]
-    n_features: int
-    feature_names: tuple[str, ...]
-    seed: int
-    params: RFParams
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
-    _shap_plan: object = field(default=None, repr=False, compare=False)
+    """A forest as one node table: each tree in preorder after the one
+    before, so a node's children come after it, and ``left``, ``right`` and
+    ``roots`` index the whole table. ``feature`` is -1 at a leaf; every node
+    keeps the class distribution ``dist`` (n, 2) and the training weight
+    ``cover`` of its rows. Built from the ``TreeNode``s ``trees``, which are
+    not kept.
+    """
+
+    def __init__(self, trees: list[TreeNode], n_features: int,
+                 feature_names: tuple[str, ...], seed: int, params: RFParams):
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        self.n_features = n_features
+        self.feature_names = feature_names
+        self.seed = seed
+        self.params = params
+        cols: tuple[list, ...] = ([], [], [], [], [], [])
+        self.roots = np.array([_add_preorder(tree, cols) for tree in trees], dtype=np.int64)
+        feature, threshold, left, right, dist, cover = cols
+        self.feature, self.left, self.right = (np.array(a, dtype=np.int64)
+                                               for a in (feature, left, right))
+        self.threshold, self.cover = (np.array(a, dtype=np.float64) for a in (threshold, cover))
+        self.dist = np.array(dist, dtype=np.float64).reshape(-1, 2)
+        self._shap_plan = None
 
 
 def balanced_weights(labels: np.ndarray) -> tuple[float, float]:
@@ -286,35 +318,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
 _PAIR_BLOCK = 1 << 12
 
 
-def _flat_forest(forest: Forest) -> tuple:
-    """Every tree's nodes in one set of arrays, each tree in preorder after
-    the one before: (feature, threshold, left, right, P(OOD), roots), with
-    child and root indices into the whole set. Built once per forest."""
-    if forest._flat is None:
-        feats, thrs, lefts, rights, p1s = [], [], [], [], []
-
-        def add(node: TreeNode) -> int:
-            i = len(feats)
-            feats.append(node.feature)
-            thrs.append(node.threshold)
-            lefts.append(0)
-            rights.append(0)
-            p1s.append(node.dist[1])
-            if not node.is_leaf():
-                lefts[i] = add(node.left)
-                rights[i] = add(node.right)
-            return i
-
-        try:
-            roots = [add(tree) for tree in forest.trees]
-        finally:
-            del add  # add's closure holds add: end the cycle that keeps the lists
-        forest._flat = (np.array(feats, dtype=np.int64), np.array(thrs, dtype=np.float64),
-                        np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64),
-                        np.array(p1s, dtype=np.float64), np.array(roots, dtype=np.int64))
-    return forest._flat
-
-
 def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(n, 2) class probabilities: the unweighted mean of leaf distributions.
 
@@ -326,7 +329,8 @@ def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected (n, {forest.n_features}) matrix, got {X.shape}")
-    feats, thrs, lefts, rights, node_p1, roots = _flat_forest(forest)
+    feats, thrs, lefts, rights = forest.feature, forest.threshold, forest.left, forest.right
+    node_p1, roots = forest.dist[:, 1], forest.roots
     n = X.shape[0]
     block = max(1, _PAIR_BLOCK // max(n, 1))
     p1 = np.zeros(n)
@@ -343,7 +347,7 @@ def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
         # an explicit loop: a reduction over axis 0 may sum pairwise
         for tree_p1 in node_p1[node].reshape(tree_roots.size, n):
             p1 += tree_p1
-    p1 /= len(forest.trees)
+    p1 /= roots.size
     return np.stack([1.0 - p1, p1], axis=1)
 
 
@@ -360,50 +364,50 @@ def predict_scan(forest: Forest, crop_vectors: np.ndarray) -> float:
     return float(predict_proba_batch(forest, crop_vectors)[:, 1].mean())
 
 
+def _class_weights(cols: tuple[list, ...], i: int, totals: list) -> tuple[float, float]:
+    """Class-weight sums of node ``i``; adds the impurity decrease of each
+    split under it to ``totals``, in post-order (left, right, node)."""
+    feature, left, right, leaf_w0, leaf_w1 = cols
+    if feature[i] < 0:
+        return leaf_w0[i], leaf_w1[i]
+    l0, l1 = _class_weights(cols, left[i], totals)
+    r0, r1 = _class_weights(cols, right[i], totals)
+    w0, w1 = l0 + r0, l1 + r1
+    totals[feature[i]] += _impurity(w0, w1) - _impurity(l0, l1) - _impurity(r0, r1)
+    return w0, w1
+
+
 def mdi_importance(forest: Forest) -> np.ndarray:
     """Mean decrease in impurity per feature, normalized to sum 1.
 
     Node class-weight sums are reconstructed bottom-up from leaf
     distributions and covers, so importances survive model round trips.
     """
-    totals = np.zeros(forest.n_features)
-
-    def walk(node: TreeNode) -> tuple[float, float]:
-        if node.is_leaf():
-            return node.dist[0] * node.cover, node.dist[1] * node.cover
-        l0, l1 = walk(node.left)
-        r0, r1 = walk(node.right)
-        w0, w1 = l0 + r0, l1 + r1
-        dec = _impurity(w0, w1) - _impurity(l0, l1) - _impurity(r0, r1)
-        totals[node.feature] += dec
-        return w0, w1
-
-    for tree in forest.trees:
-        walk(tree)
-    totals /= len(forest.trees)
+    sums = [0.0] * forest.n_features
+    leaf_w = forest.dist * forest.cover[:, None]
+    cols = (forest.feature.tolist(), forest.left.tolist(), forest.right.tolist(),
+            leaf_w[:, 0].tolist(), leaf_w[:, 1].tolist())
+    for root in forest.roots.tolist():
+        _class_weights(cols, root, sums)
+    totals = np.array(sums) / forest.roots.size
     s = totals.sum()
     if s > 0:
         totals /= s
     return totals
 
 
-def _node_to_doc(node: TreeNode) -> dict:
-    if node.is_leaf():
-        return {"leaf": [node.dist[0], node.dist[1]], "cover": node.cover}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "cover": node.cover,
-        "dist": [node.dist[0], node.dist[1]],
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
+def _node_to_doc(cols: tuple[list, ...], i: int) -> dict:
+    feature, threshold, left, right, dist, cover = cols
+    if feature[i] < 0:
+        return {"leaf": dist[i], "cover": cover[i]}
+    return {"feature": feature[i], "threshold": threshold[i], "cover": cover[i], "dist": dist[i],
+            "left": _node_to_doc(cols, left[i]), "right": _node_to_doc(cols, right[i])}
 
 
-def _finite(value) -> float:
+def _finite(value, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
+            or not math.isfinite(value) or positive and not value > 0:
+        raise ValueError(f"{value!r} is not a finite{' positive' * positive} number")
     return float(value)
 
 
@@ -415,14 +419,14 @@ def _pair(value) -> tuple[float, float]:
 
 def _node_from_doc(doc: dict, n_features: int) -> TreeNode:
     if "leaf" in doc:
-        return TreeNode(dist=_pair(doc["leaf"]), cover=_finite(doc["cover"]))
+        return TreeNode(dist=_pair(doc["leaf"]), cover=_finite(doc["cover"], positive=True))
     feature = doc["feature"]
     if type(feature) is not int or not 0 <= feature < n_features:
         raise ValueError(f"feature {feature!r} is not in [0, {n_features})")
     return TreeNode(
         feature=feature,
         threshold=_finite(doc["threshold"]),
-        cover=_finite(doc.get("cover", 0.0)),
+        cover=_finite(doc["cover"], positive=True),
         dist=_pair(doc.get("dist", [0.0, 0.0])),
         left=_node_from_doc(doc["left"], n_features),
         right=_node_from_doc(doc["right"], n_features),
@@ -441,20 +445,23 @@ def save_model(forest: Forest, path) -> None:
     })
     with atomic_open(path) as fh:
         fh.write(head[:-1] + ', "trees": [')
-        for t, tree in enumerate(forest.trees):
-            fh.write((", " if t else "") + json.dumps(_node_to_doc(tree)))
+        cols = tuple(a.tolist() for a in (forest.feature, forest.threshold, forest.left,
+                                           forest.right, forest.dist, forest.cover))
+        for t, root in enumerate(forest.roots.tolist()):
+            fh.write((", " if t else "") + json.dumps(_node_to_doc(cols, root)))
         fh.write("]}\n")
 
 
 def load_model(path) -> Forest:
     """Read a model written by ``save_model``. Every feature index must lie in
-    [0, n_features), every threshold, cover and class weight be a finite
-    number, and there must be one name per feature and at least one tree."""
+    [0, n_features), every threshold and class weight be a finite number,
+    every node carry a positive finite cover, and there must be one name per
+    feature and at least one tree."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"model {path} is not valid JSON: {exc}") from exc
     try:
         if doc.get("format") != MODEL_FORMAT:

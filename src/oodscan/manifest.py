@@ -56,10 +56,10 @@ class CohortManifest:
 def load_manifest(path) -> CohortManifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_bytes())
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or "dataset_name" not in doc or "records" not in doc:
@@ -130,7 +130,7 @@ def save_manifest(manifest: CohortManifest, path) -> None:
         doc["provenance"] = manifest.provenance
     text = json.dumps(doc, indent=2) + "\n"
     # equal bytes keep the old mtime, so stages that read the manifest stay fresh
-    if path.is_file() and path.read_text() == text:
+    if path.is_file() and path.read_bytes() == text.encode():
         return
     write_text_atomic(path, text)
 

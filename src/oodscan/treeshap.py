@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .forest import Forest, TreeNode, predict_proba
+from .forest import Forest, predict_proba
 
 _EFFICIENCY_GUARD = 1e-6
 _BLOCK_LEAVES = 1024  # leaves explained together; bounds the per-row arrays
@@ -99,24 +99,20 @@ class _Plan:
     base_value: float
 
 
-def tree_expectation(node: TreeNode) -> float:
-    """Empty-coalition value: cover-weighted mean leaf P(OOD)."""
-    if node.is_leaf():
-        return node.dist[1]
-    lf = node.left.cover / node.cover
-    rf = node.right.cover / node.cover
-    return lf * tree_expectation(node.left) + rf * tree_expectation(node.right)
-
-
-def _leaf_count(node: TreeNode) -> int:
-    count, stack = 0, [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf():
-            count += 1
-        else:
-            stack += (n.left, n.right)
-    return count
+def _node_sums(forest: Forest) -> tuple[list[float], list[int]]:
+    """Every node's empty-coalition value (the cover-weighted mean leaf
+    P(OOD) under it) and leaf count, in one reverse sweep over the node
+    table: children come after their parent."""
+    feature, left, right = forest.feature.tolist(), forest.left.tolist(), forest.right.tolist()
+    cover = forest.cover.tolist()
+    value = forest.dist[:, 1].tolist()
+    leaves = [1] * len(feature)
+    for i in range(len(feature) - 1, -1, -1):
+        if feature[i] >= 0:
+            l, r = left[i], right[i]
+            value[i] = cover[l] / cover[i] * value[l] + cover[r] / cover[i] * value[r]
+            leaves[i] = leaves[l] + leaves[r]
+    return value, leaves
 
 
 def _pad(a: np.ndarray, width: int, fill) -> np.ndarray:
@@ -125,44 +121,44 @@ def _pad(a: np.ndarray, width: int, fill) -> np.ndarray:
     return out
 
 
-def _plan_block(trees: list[TreeNode]) -> _Block:
-    n = len(trees)
-    nodes, tree = trees, np.arange(n, dtype=np.int32)
+def _plan_block(forest: Forest, roots: np.ndarray, leaves: np.ndarray) -> _Block:
+    """The plan of the trees at ``roots``; ``leaves`` counts the leaves under
+    each node of the table."""
+    n = roots.size
+    nodes, tree = roots, np.arange(n, dtype=np.int32)
     # each node's path after its extend: features and zero fractions by position
     feat = np.full((n, 1), -1, dtype=np.int32)
     zero = np.ones((n, 1))
     length = np.ones(n, dtype=np.int32)
-    parent = depth = np.zeros(0, dtype=np.int32)
+    parent = depth = sibling_leaves = np.zeros(0, dtype=np.int32)
     left = np.zeros(0, dtype=bool)
     new_zero = np.zeros(0)
-    raw, leaf_parts = [], []
+    levels, leaf_parts = [], []
     n_leaves = 0
-    while nodes:
-        internal = np.fromiter((not v.is_leaf() for v in nodes), bool, len(nodes))
+    while nodes.size:
+        internal = forest.feature[nodes] >= 0
         order = np.argsort(~internal, kind="stable")
-        nodes = [nodes[i] for i in order]
-        tree, feat, zero, length = tree[order], feat[order], zero[order], length[order]
-        if raw:
-            parent, left, new_zero, depth = (parent[order], left[order],
-                                             new_zero[order], depth[order])
+        nodes, tree, feat, zero, length = (a[order] for a in (nodes, tree, feat, zero, length))
+        if levels:
+            parent, left, new_zero, depth, sibling_leaves = (
+                a[order] for a in (parent, left, new_zero, depth, sibling_leaves))
         k = int(internal.sum())
-        leaves = slice(n_leaves, n_leaves + len(nodes) - k)
-        n_leaves = leaves.stop
-        leaf_parts.append((
-            np.fromiter((v.dist[1] for v in nodes[k:]), np.float64, len(nodes) - k),
-            length[k:] - 1, feat[k:, 1:], zero[k:, 1:], tree[k:]))
+        level_leaves = slice(n_leaves, n_leaves + nodes.size - k)
+        n_leaves = level_leaves.stop
+        leaf_parts.append((forest.dist[nodes[k:], 1], length[k:] - 1, feat[k:, 1:],
+                           zero[k:, 1:], tree[k:]))
         inner = nodes[:k]
-        f = np.fromiter((v.feature for v in inner), np.int32, k)
-        thr = np.fromiter((v.threshold for v in inner), np.float64, k)
+        f = forest.feature[inner].astype(np.int32)
         feat, zero, length = feat[:k], zero[:k], length[:k]
         # a path holds each feature once; the dummy at position 0 never matches
         match = feat[:, 1:] == f[:, None]
         unwind = np.flatnonzero(match.any(axis=1)).astype(np.int32)
         at = (np.nonzero(match[unwind])[1] + 1).astype(np.int32)
         unwind_zero = zero[unwind, at]
-        raw.append(dict(parent=parent, left=left, zero=new_zero, depth=depth,
-                        feature=f, threshold=thr, unwind=unwind, unwind_at=at,
-                        unwind_zero=unwind_zero, leaves=leaves))
+        levels.append(_Level(parent=parent, left=left, sibling_leaves=sibling_leaves,
+                             zero=new_zero, depth=depth, feature=f,
+                             threshold=forest.threshold[inner], unwind=unwind,
+                             unwind_at=at, unwind_zero=unwind_zero, leaves=level_leaves))
         incoming_zero = np.ones(k)
         incoming_zero[unwind] = unwind_zero
         cols = np.arange(feat.shape[1])
@@ -172,12 +168,12 @@ def _plan_block(trees: list[TreeNode]) -> _Block:
         length[unwind] -= 1
         feat[cols >= length[:, None]] = -1
 
-        nodes = [c for v in inner for c in (v.left, v.right)]
-        cover = np.fromiter((v.cover for v in inner), np.float64, k)
-        child_cover = np.fromiter((c.cover for c in nodes), np.float64, 2 * k)
+        children = np.stack([forest.left[inner], forest.right[inner]], axis=1)
+        nodes = children.ravel()
+        sibling_leaves = leaves[children[:, ::-1].ravel()]
         parent = np.repeat(np.arange(k, dtype=np.int32), 2)
         left = np.tile([True, False], k)
-        new_zero = incoming_zero[parent] * (child_cover / cover[parent])
+        new_zero = incoming_zero[parent] * (forest.cover[nodes] / forest.cover[inner][parent])
         depth = length[parent]
         width = max(feat.shape[1], int(depth.max(initial=0)) + 1)
         rows = np.arange(2 * k)
@@ -188,39 +184,32 @@ def _plan_block(trees: list[TreeNode]) -> _Block:
         length = depth + 1
         tree = tree[parent]
 
-    # leaves under each node, bottom-up, for the walk ranks
-    below = np.ones(raw[-1]["leaves"].stop - raw[-1]["leaves"].start)
-    for lv, up in zip(raw[:0:-1], raw[-2::-1]):
-        parent_below = np.bincount(lv["parent"], weights=below,
-                                   minlength=up["feature"].size)
-        lv["sibling_leaves"] = (parent_below[lv["parent"]] - below).astype(np.int32)
-        below = np.concatenate([parent_below,
-                                np.ones(up["leaves"].stop - up["leaves"].start)])
-    raw[0]["sibling_leaves"] = np.zeros(0, dtype=np.int32)
-
     width = max(p[2].shape[1] for p in leaf_parts) + 1
     value, last, lfeat, lzero, ltree = (np.concatenate(x) for x in zip(*(
         (v, m, _pad(f, width - 1, -1), _pad(z, width - 1, 0.0), t)
         for v, m, f, z, t in leaf_parts)))
     per_tree = np.bincount(ltree, minlength=n)
     first = (np.cumsum(per_tree) - per_tree).astype(np.int32)
-    return _Block(levels=tuple(_Level(**lv) for lv in raw), n_roots=n, width=width,
+    return _Block(levels=tuple(levels), n_roots=n, width=width,
                   leaf_value=value, leaf_last=last, leaf_feature=lfeat,
                   leaf_zero=lzero, leaf_first=first[ltree])
 
 
 def _plan(forest: Forest) -> _Plan:
     if forest._shap_plan is None:
-        blocks, start, leaves = [], 0, 0
-        for t, tree in enumerate(forest.trees):
-            leaves += _leaf_count(tree)
-            if leaves >= _BLOCK_LEAVES or t == len(forest.trees) - 1:
-                blocks.append(_plan_block(forest.trees[start:t + 1]))
-                start, leaves = t + 1, 0
+        value, leaves = _node_sums(forest)
+        counts = np.array(leaves, dtype=np.int32)
+        roots = forest.roots.tolist()
+        blocks, start, count = [], 0, 0
+        for t, root in enumerate(roots):
+            count += leaves[root]
+            if count >= _BLOCK_LEAVES or t == len(roots) - 1:
+                blocks.append(_plan_block(forest, forest.roots[start:t + 1], counts))
+                start, count = t + 1, 0
         base = 0.0
-        for tree in forest.trees:
-            base += tree_expectation(tree)
-        forest._shap_plan = _Plan(tuple(blocks), base / len(forest.trees))
+        for root in roots:
+            base += value[root]
+        forest._shap_plan = _Plan(tuple(blocks), base / len(roots))
     return forest._shap_plan
 
 
@@ -334,7 +323,7 @@ def tree_shap(forest: Forest, x: np.ndarray) -> ShapExplanation:
     with np.errstate(divide="ignore", invalid="ignore"):
         for block in plan.blocks:
             _block_phi(block, x, phi)
-    phi /= len(forest.trees)
+    phi /= forest.roots.size
     base = plan.base_value
     prediction = predict_proba(forest, x)[1]
     if not abs(base + phi.sum() - prediction) <= _EFFICIENCY_GUARD:

@@ -209,12 +209,13 @@ def per_row_tree_shap(forest, x):
     x = np.asarray(x, dtype=np.float64)
     phi = np.zeros(forest.n_features)
     base = prediction = 0.0
-    for tree in forest.trees:
+    trees = tree_nodes(forest)
+    for tree in trees:
         _tree_shap(tree, x, phi, [], 1.0, 1.0, -1)
         base += _expectation(tree)
         prediction += _leaf_p1(tree, x)
-    phi /= len(forest.trees)
-    return base / len(forest.trees), phi, prediction / len(forest.trees)
+    phi /= len(trees)
+    return base / len(trees), phi, prediction / len(trees)
 
 
 # --- connected components ---------------------------------------------------
@@ -449,6 +450,51 @@ def seed_whose_draw_is(word: int, draw: int) -> int:
     return (z - (draw + 1) * 0x9E3779B97F4A7C15) & mask
 
 
+# --- trees ----------------------------------------------------------------------
+
+def tree_nodes(forest):
+    """The forest's trees as ``TreeNode``s, rebuilt from its node table by
+    following the child indices from each root."""
+    from oodscan.forest import TreeNode
+
+    def build(i):
+        node = TreeNode(feature=int(forest.feature[i]),
+                        threshold=float(forest.threshold[i]),
+                        dist=(float(forest.dist[i, 0]), float(forest.dist[i, 1])),
+                        cover=float(forest.cover[i]))
+        if not node.is_leaf():
+            node.left = build(forest.left[i])
+            node.right = build(forest.right[i])
+        return node
+
+    return [build(root) for root in forest.roots]
+
+
+def post_order_mdi(forest) -> np.ndarray:
+    """Mean decrease in impurity per feature, normalized to sum 1: a
+    recursion over each tree's ``TreeNode``s that adds a split's decrease
+    after those under its left child, then under its right child."""
+    def impurity(w0, w1):
+        return (w0 + w1) - (w0 * w0 + w1 * w1) / (w0 + w1)
+
+    def walk(node):
+        if node.is_leaf():
+            return node.dist[0] * node.cover, node.dist[1] * node.cover
+        (l0, l1), (r0, r1) = walk(node.left), walk(node.right)
+        totals[node.feature] += (impurity(l0 + r0, l1 + r1) - impurity(l0, l1)
+                                 - impurity(r0, r1))
+        return l0 + r0, l1 + r1
+
+    totals = np.zeros(forest.n_features)
+    trees = tree_nodes(forest)
+    for tree in trees:
+        walk(tree)
+    totals /= len(trees)
+    if totals.sum() > 0:
+        totals /= totals.sum()
+    return totals
+
+
 # --- prediction ---------------------------------------------------------------
 
 def _flatten_one(tree):
@@ -479,7 +525,8 @@ def per_tree_predict_proba(forest, X):
     n = X.shape[0]
     p1 = np.zeros(n)
     rows = np.arange(n)
-    for tree in forest.trees:
+    trees = tree_nodes(forest)
+    for tree in trees:
         feats, thrs, lefts, rights, leaf_p1 = _flatten_one(tree)
         node = np.zeros(n, dtype=np.int64)
         active = feats[node] >= 0
@@ -489,5 +536,5 @@ def per_tree_predict_proba(forest, X):
             node[active] = np.where(take_left, lefts[cur], rights[cur])
             active = feats[node] >= 0
         p1 += leaf_p1[node]
-    p1 /= len(forest.trees)
+    p1 /= len(trees)
     return np.stack([1.0 - p1, p1], axis=1)

@@ -161,6 +161,16 @@ def _relabel_ood_as_id(text: str) -> str:
     return text.replace(",OOD,", ",ID,")
 
 
+def _raw_byte(offset: int | None, byte: int):
+    """Replace the character at ``offset`` (with None, append one) by ``byte``,
+    which is not UTF-8 on its own, as a surrogate that writing the text with
+    errors="surrogateescape" turns into that byte."""
+    def edit(text: str) -> str:
+        raw = chr(0xDC00 + byte)
+        return text + raw if offset is None else text[:offset] + raw + text[offset + 1:]
+    return edit
+
+
 @pytest.mark.parametrize("command, name, corrupt", [
     pytest.param("explain", "rf_deep.model.json", _drop_trees, id="model-without-trees"),
     pytest.param("explain", "rf_deep.model.json", _rename_first_feature,
@@ -182,13 +192,15 @@ def _relabel_ood_as_id(text: str) -> str:
                  id="ablate-labels-off-manifest"),
     pytest.param("explain", "features_deep.csv", _relabel_ood_as_id,
                  id="explain-labels-off-manifest"),
+    pytest.param("explain", "rf_deep.model.json", _raw_byte(100, 0xBA), id="model-not-utf8"),
+    pytest.param("train", "manifest.json", _raw_byte(None, 0xFF), id="manifest-not-utf8"),
 ])
 def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, capsys,
                                                       command, name, corrupt):
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)
     victim = run / "work" / name
-    victim.write_text(corrupt(victim.read_text()))
+    victim.write_text(corrupt(victim.read_text()), errors="surrogateescape")
 
     code = main([command, "--config", str(run / "config.json")])
     err = capsys.readouterr().err
@@ -225,6 +237,9 @@ def _first(doc, key: str) -> dict:
     pytest.param(lambda doc: _first(doc, "feature").update(threshold=float("nan")),
                  id="threshold-nan"),
     pytest.param(lambda doc: _first(doc, "leaf").update(leaf=[1.0]), id="leaf-of-one"),
+    pytest.param(lambda doc: _first(doc, "feature").pop("cover"), id="split-without-cover"),
+    pytest.param(lambda doc: _first(doc, "feature").update(cover=0.0), id="split-cover-zero"),
+    pytest.param(lambda doc: _first(doc, "leaf").update(cover=-1.0), id="leaf-cover-negative"),
     pytest.param(lambda doc: doc.update(trees=[]), id="no-trees"),
     pytest.param(lambda doc: doc["feature_names"].pop(), id="names-short"),
 ])
@@ -399,9 +414,15 @@ def test_config_error_exit_code(tmp_path):
     ("ablate", {"ablate_stages": 3}),
     ("train", {"forest": {"n_trees": 2.5}}),
     ("eval", {"protocol": {"n_seeds": 1.5}}),
+    pytest.param("gen", _raw_byte(17, 0xFF), id="gen-not-utf8"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, overrides):
-    cfg = write_config(tmp_path, **overrides)
+    """``overrides`` are config values, or an edit of the config's text."""
+    if callable(overrides):
+        cfg = write_config(tmp_path)
+        cfg.write_text(overrides(cfg.read_text()), errors="surrogateescape")
+    else:
+        cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error stage=config ConfigError: ")

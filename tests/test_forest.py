@@ -24,7 +24,6 @@ from oodscan.forest import (
     _PAIR_BLOCK,
     _best_split,
     _impurity,
-    _node_to_doc,
 )
 from oodscan.rng import SplitMix64, derive
 
@@ -33,6 +32,8 @@ from oracles import (
     float_key_tree,
     per_feature_best_split,
     per_tree_predict_proba,
+    post_order_mdi,
+    tree_nodes,
 )
 
 
@@ -402,6 +403,38 @@ def forests_and_rows(draw):
     return forest, np.array(draw(values)).reshape(n, n_features)
 
 
+@st.composite
+def tree_lists(draw):
+    """Hand-built trees of any finite values: single leaves among them and
+    thresholds of +-0.0."""
+    number = st.floats(allow_nan=False, allow_infinity=False)
+
+    def build(depth):
+        dist, cover = (draw(number), draw(number)), draw(number)
+        if depth >= 6 or draw(st.booleans()):
+            return TreeNode(dist=dist, cover=cover)
+        return TreeNode(feature=draw(st.integers(0, 3)),
+                        threshold=draw(st.sampled_from([-0.0, 0.0]) | number),
+                        dist=dist, cover=cover, left=build(depth + 1), right=build(depth + 1))
+
+    return [build(0) for _ in range(draw(st.integers(1, 5)))]
+
+
+@given(tree_lists())
+def test_node_table_holds_the_trees_in_preorder(trees):
+    def size(node):
+        return 1 if node.is_leaf() else 1 + size(node.left) + size(node.right)
+
+    forest = Forest(trees=trees, n_features=4, feature_names=("a", "b", "c", "d"),
+                    seed=0, params=RFParams(n_trees=len(trees)))
+    assert [repr(t) for t in tree_nodes(forest)] == [repr(t) for t in trees]
+    sizes = [size(t) for t in trees]
+    assert forest.roots.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+    assert forest.feature.size == sum(sizes)
+    split = np.flatnonzero(forest.feature >= 0)
+    assert np.all(forest.left[split] > split) and np.all(forest.right[split] > split)
+
+
 @given(forests_and_rows())
 def test_stacked_prediction_is_bit_equal_to_per_tree_prediction(forest_rows):
     forest, X = forest_rows
@@ -460,7 +493,7 @@ def test_monotone_transform_invariance():
         trans = fit_forest(Xt, y, params, seed=seed)
 
         fp_a, fp_b = [], []
-        for ta, tb in zip(base.trees, trans.trees):
+        for ta, tb in zip(tree_nodes(base), tree_nodes(trans)):
             tree_fingerprint(ta, fp_a)
             tree_fingerprint(tb, fp_b)
         assert fp_a == fp_b  # identical structure and leaf distributions
@@ -517,7 +550,7 @@ def test_depth_never_exceeds_max():
     X, y = gaussian_blobs(n=120, separation=0.3)  # heavy overlap forces deep trees
     for max_depth in (1, 3, 5):
         forest = fit_forest(X, y, RFParams(n_trees=4, max_depth=max_depth), seed=7)
-        assert all(depth_of(t) <= max_depth for t in forest.trees)
+        assert all(depth_of(t) <= max_depth for t in tree_nodes(forest))
 
 
 # --- importances ------------------------------------------------------------
@@ -532,6 +565,13 @@ def test_mdi_single_feature_is_one():
 def test_mdi_all_leaf_forest_stays_zero():
     forest = leaf_forest([(0.5, 0.5)] * 3)
     assert np.array_equal(mdi_importance(forest), np.zeros(1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mdi_is_bit_equal_to_post_order_recursion(seed):
+    X, y = gaussian_blobs(n=160, separation=0.5, seed=seed, d=12)  # deep trees
+    forest = fit_forest(X, y, RFParams(n_trees=10), seed=seed)
+    assert mdi_importance(forest).tobytes() == post_order_mdi(forest).tobytes()
 
 
 def test_mdi_unused_feature_zero_and_sums_to_one():
@@ -558,6 +598,14 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert back.params == forest.params
 
 
+def _node_document(node):
+    if node.is_leaf():
+        return {"leaf": list(node.dist), "cover": node.cover}
+    return {"feature": node.feature, "threshold": node.threshold, "cover": node.cover,
+            "dist": list(node.dist), "left": _node_document(node.left),
+            "right": _node_document(node.right)}
+
+
 def _whole_model_document(forest):
     return {
         "format": MODEL_FORMAT,
@@ -565,7 +613,7 @@ def _whole_model_document(forest):
         "n_features": forest.n_features,
         "feature_names": list(forest.feature_names),
         "seed": forest.seed,
-        "trees": [_node_to_doc(t) for t in forest.trees],
+        "trees": [_node_document(t) for t in tree_nodes(forest)],
     }
 
 

@@ -97,3 +97,17 @@ def test_load_pyramid_requires_encode(tmp_path):
     m = load_manifest(write_manifest(tmp_path, [rec]))
     with pytest.raises(DataError, match="encode"):
         load_pyramid(m.records[0], load_volume(m.records[0]))
+
+
+def test_save_rewrites_a_file_that_is_not_utf8_and_keeps_an_equal_one(tmp_path):
+    records = [write_scan_files(tmp_path, f"r{i}") for i in range(2)]
+    m = load_manifest(write_manifest(tmp_path, records))
+    out = tmp_path / "copy.json"
+    save_manifest(m, out)
+    good = out.read_bytes()
+    stat = out.stat()
+    save_manifest(m, out)
+    assert out.stat().st_mtime_ns == stat.st_mtime_ns  # equal bytes: not rewritten
+    out.write_bytes(good + b"\xff")
+    save_manifest(m, out)
+    assert out.read_bytes() == good

@@ -6,7 +6,7 @@ from oodscan.forest import Forest, RFParams, TreeNode, fit_forest, predict_proba
 from oodscan.rng import SplitMix64
 from oodscan.treeshap import tree_shap
 
-from oracles import brute_force_shapley, per_row_tree_shap, tree_value
+from oracles import brute_force_shapley, per_row_tree_shap, tree_nodes, tree_value
 
 
 def leaf(value, cover):
@@ -162,7 +162,7 @@ def fitted_forests(draw):
 def rows_for(draw, forest):
     """Feature rows that sit exactly on the forest's thresholds, or off them."""
     thresholds = [0.0]
-    stack = list(forest.trees)
+    stack = tree_nodes(forest)
     while stack:
         node = stack.pop()
         if not node.is_leaf():
