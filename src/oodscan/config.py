@@ -188,9 +188,9 @@ def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = N
     if seed_override is not None:
         protocol = dataclasses.replace(protocol, base_seed=seed_override)
 
-    ablate_stages = doc.get("ablate_stages") or STAGE_IDS
-    if not isinstance(ablate_stages, (list, tuple)):
-        raise ConfigError("ablate_stages must be a list of stage ids")
+    ablate_stages = doc.get("ablate_stages", STAGE_IDS)
+    if not isinstance(ablate_stages, (list, tuple)) or not ablate_stages:
+        raise ConfigError("ablate_stages must be a non-empty list of stage ids")
     for stage in ablate_stages:
         if stage not in STAGE_IDS:
             raise ConfigError(f"unknown ablation stage {stage!r}")

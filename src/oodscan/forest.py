@@ -14,7 +14,9 @@ differ from theirs on degenerate data.
 
 Class balancing follows w_c = n / (2 n_c) computed on the full training
 set; bootstrap draws then carry their class weight (weights are not
-recomputed per bootstrap).
+recomputed per bootstrap). Since every row weighs its class's w_c, the split
+search needs no float prefix sums: it sorts label-tagged rank keys and
+counts each class left of a cut (see ``_best_split``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DataError
-from .rng import SplitMix64, derive
+from .rng import IndexSubsets, SplitMix64, derive
 
 MODEL_FORMAT = "oodscan-forest-v1"
 
@@ -128,157 +130,145 @@ def balanced_weights(labels: np.ndarray) -> tuple[float, float]:
     return n / (2.0 * n0), n / (2.0 * n1)
 
 
-def sample_weight_vector(labels: np.ndarray) -> np.ndarray:
-    w0, w1 = balanced_weights(labels)
-    return np.where(np.asarray(labels) == 1, w1, w0)
-
-
 def _impurity(w0: float, w1: float) -> float:
     # cover-weighted Gini: W * gini = W - (w0^2 + w1^2) / W
     total = w0 + w1
     return total - (w0 * w0 + w1 * w1) / total
 
 
-def rank_keys(X: np.ndarray) -> np.ndarray:
-    """Dense per-column ranks of ``X``: a smaller value has a smaller rank and
-    equal values share one (``-0.0 == 0.0`` too). ``uint16`` up to 65,536
-    rows, which numpy sorts by radix, and ``uint32`` beyond."""
+def rank_keys(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Label-tagged rank keys ``K[j, i] = (r << 1) | y[i]`` of ``X``, (d, n),
+    ``uint16`` up to 32,768 rows; ``r`` is the dense rank of ``X[i, j]`` in
+    its column (equal values share one, ``-0.0 == 0.0`` too), and
+    ``values[j][r]`` is that value (a zero of either sign)."""
     n, d = X.shape
-    R = np.empty((n, d), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
+    if np.shape(y) != (n,) or not np.isin(y, (0, 1)).all():
+        raise ValueError("rank_keys needs one label, 0 or 1, per row")
+    K = np.empty((d, n), dtype=np.uint16 if n <= 1 << 15 else np.uint32)
+    values = []
     for j in range(d):  # a column at a time keeps the sort temporaries small
-        R[:, j] = np.unique(X[:, j], return_inverse=True)[1]
-    return R
+        v, K[j] = np.unique(X[:, j], return_inverse=True)
+        values.append(v)
+    K <<= 1
+    K |= np.asarray(y, dtype=K.dtype)
+    return K, values
 
 
-def _best_split(K, w0n, w1n, W0, W1, parent_impurity):
-    """Best (decrease, column, row_a, row_b) over the columns of ``K``, or None.
+def class_sums(class_weights: tuple[float, float], n: int) -> np.ndarray:
+    """(2, n + 1): row c holds 0 and the running sums of ``n`` copies of w_c."""
+    w = np.asarray(class_weights, dtype=np.float64)[:, None]
+    return ((np.arange(n + 1) > 0) * w).cumsum(axis=1)
 
-    ``K`` holds the node's rank keys (``rank_keys``) of the candidate
-    features in ascending feature order; ``W0``/``W1`` are
-    ``w0n.sum()``/``w1n.sum()`` and the weights are positive. Candidate cuts
-    lie between consecutive distinct sorted keys; the best one falls between
-    node rows ``row_a`` and ``row_b``, and its threshold is the midpoint of
-    their values, which the caller reads from the float matrix.
 
-    Ranks order rows as their values do and tie exactly where the values
-    tie, so the stable sort of the keys is the stable sort of the values:
-    the unique permutation that orders them and keeps ties in row order.
-    Every ``cumsum``, decrease and chosen row pair is therefore the one a
-    search on the float values finds. All columns are searched at once, and
-    each column's numbers equal a one-column search: ``cumsum`` along axis 0
-    adds each column's weights one row after the other, in the same order
-    and precision as a 1-D ``cumsum``, and the decrease is elementwise
-    arithmetic. Positions that are not boundaries are masked to -inf. Ties
-    go to the lowest threshold (the first argmax in a column), then to the
-    lowest column (the first argmax across the column maxima).
+def _best_split(K, sums, W, parent_impurity):
+    """Best (decrease, column, rank_a, rank_b) over the rows of ``K``, or None.
+
+    ``K`` (m, n), sorted here in place, holds the node's tagged rank keys of
+    the candidate features in ascending order; ``sums`` are ``class_sums``
+    and ``W`` the node's (2,) class weights. The cut falls between ranks
+    ``rank_a`` and ``rank_b``, consecutive in a sorted row.
+
+    Each row weighs its class's w_c, so a prefix sum of class-c weights
+    over the rows, in any order, adds w_c or an exact +0.0 at each row: a
+    cut with c0 and c1 rows of each class to its left has the left class
+    weights ``sums[0, c0]`` and ``sums[1, c1]``, whatever the order within
+    its tie groups. So any sort of the keys serves, and the decrease, the
+    same operations on the same operands as over a stable sort of the
+    values and its ``cumsum``, is taken at the cuts only, in row-major
+    order: one argmax takes the lowest column, then the lowest cut.
     """
-    order = K.argsort(axis=0, kind="stable")
-    columns = np.arange(K.shape[1])
-    ks = K[order, columns]
-    boundary = ks[:-1] < ks[1:]
-    if not boundary.any():
+    K.sort(axis=1)  # equal tagged keys cannot be told apart: any algorithm serves
+    lo = K[:, :-1]
+    cut = np.flatnonzero((lo | 1) < K[:, 1:])
+    if not cut.size:
         return None
-    l0 = w0n[order].cumsum(axis=0)[:-1]
-    l1 = w1n[order].cumsum(axis=0)[:-1]
-    # dec = parent - (wl - (l0*l0 + l1*l1) / wl) - (wr - (r0*r0 + r1*r1) / wr)
-    # with r = W - l, wl = l0 + l1 and wr = r0 + r1: the same operations on
-    # the same operands, in place, so that at most five such arrays are alive
-    # (the root's search is the peak of a tree's memory)
-    r0, r1 = W0 - l0, W1 - l1
-    right = r0 + r1
-    r0 *= r0
-    r1 *= r1
-    r0 += r1
-    r0 /= right
-    np.subtract(right, r0, out=right)
-    del r0, r1
-    dec = l0 + l1
-    l0 *= l0
-    l1 *= l1
-    l0 += l1
-    l0 /= dec
-    np.subtract(dec, l0, out=dec)
-    np.subtract(parent_impurity, dec, out=dec)
-    dec -= right
-    dec[~boundary] = -np.inf
-    rows = dec.argmax(axis=0)
-    col_best = dec[rows, columns]
-    c = int(col_best.argmax())
-    k = int(rows[c])
-    return float(col_best[c]), c, int(order[k, c]), int(order[k + 1, c])
+    width = lo.shape[1]
+    c1 = (lo & 1).cumsum(axis=1, dtype=np.intp).take(cut)
+    left = np.array((sums[0].take(cut % width + 1 - c1), sums[1].take(c1)))
+    A = np.array((left, W[:, None] - left))  # [left, right][class 0, class 1]
+    # each side's impurity is w - (w0*w0 + w1*w1) / w with w = w0 + w1
+    total = np.add.reduce(A, axis=1)
+    total -= np.add.reduce(A * A, axis=1) / total
+    dec = parent_impurity - total[0] - total[1]
+    best = int(dec.argmax())
+    c, k = divmod(int(cut[best]), width)
+    return float(dec[best]), c, int(K[c, k]) >> 1, int(K[c, k + 1]) >> 1
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
+def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
              params: RFParams, rng: SplitMix64, *,
-             ranks: np.ndarray | None = None,
+             ranks: tuple[np.ndarray, list[np.ndarray]] | None = None,
+             sums: np.ndarray | None = None,
              rows: np.ndarray | None = None) -> TreeNode:
     """Grow one CART tree; feature subsets come from ``rng`` depth-first,
-    left child first.
+    left child first. Each row weighs ``class_weights[y]``.
 
-    ``ranks`` are rank keys of ``X`` (``rank_keys`` of ``X`` or of any
-    matrix whose rows ``X`` repeats); by default they are computed here.
-    ``rows`` grows the tree on the rows ``X[rows]`` (with repeats, in that
-    order) without copying them; the caller has then checked that ``X`` is
-    finite, as ``fit_forest`` does once for all its trees.
+    ``ranks`` are ``rank_keys(X, y)`` and ``sums`` ``class_sums`` over at
+    least the tree's row count, by default computed here. ``rows`` grows
+    the tree on the rows ``X[rows]`` (with repeats, in that order) without
+    copying them; the caller has then checked that ``X`` is finite, as
+    ``fit_forest`` does. A node's class weights are ``np.add.reduce`` of its
+    rows' weights: a pairwise sum, which depends on where each row sits.
+
+    A threshold is the midpoint of the cut's two values, or the lower one
+    when the midpoint is not below the upper. The value table keeps one
+    zero per column, of either sign, and that sign never reaches a
+    threshold: with a zero below, the sum is the upper value exactly and
+    its half stands; with a zero above, half the lower value stands if it
+    is negative, and else the lower value itself, nonzero, is taken.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    w = np.asarray(sample_weight, dtype=np.float64)
+    weights = np.array(class_weights, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("fit_tree needs a non-empty 2-D matrix")
     if rows is None:
         if not np.all(np.isfinite(X)):
             raise ValueError("fit_tree features must be finite")
         rows = np.arange(X.shape[0])
-    if y.shape[0] != X.shape[0] or w.shape[0] != X.shape[0]:
-        raise ValueError("labels/weights must match the row count")
-    if ranks is None:
-        ranks = rank_keys(X)
-    elif ranks.shape != X.shape:
-        raise ValueError("ranks must have the shape of X")
+    rows = np.asarray(rows, dtype=np.intp)
+    if y.shape != X.shape[:1]:
+        raise ValueError("labels must match the row count")
+    if weights.shape != (2,) or not all(0.0 < w < math.inf for w in weights.tolist()):
+        raise ValueError("class_weights must be two positive finite numbers")
+    K, values = rank_keys(X, y) if ranks is None else ranks
+    if K.shape != X.shape[::-1]:
+        raise ValueError("ranks must be the rank keys of X")
+    sums = class_sums(weights, rows.size) if sums is None else sums
     d = X.shape[1]
-    m = params.resolve_max_features(d)
-    w0_all = w * (y == 0)
-    w1_all = w * (y == 1)
+    subsets = IndexSubsets(rng, d, params.resolve_max_features(d))
+    row_weights = (y == np.arange(2)[:, None]) * weights[:, None]  # (2, N): w_c or 0.0
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        w0n = w0_all[idx]
-        w1n = w1_all[idx]
-        W0 = np.add.reduce(w0n)  # what ndarray.sum calls, without its wrappers
-        W1 = np.add.reduce(w1n)
-        total = float(W0 + W1)
-        leaf = TreeNode(dist=(float(W0) / total, float(W1) / total), cover=total)
-        if (
-            depth >= params.max_depth
-            or idx.size < params.min_samples_split
-            or W0 == 0.0
-            or W1 == 0.0
-        ):
-            return leaf
-        cols = sorted(rng.sample_indices(d, m))
-        split = _best_split(ranks[idx[:, None], cols], w0n, w1n, W0, W1,
-                            _impurity(float(W0), float(W1)))
+        W = np.add.reduce(row_weights.take(idx, axis=1), axis=1)  # row by row, as 1-D
+        W0, W1 = W.tolist()
+        total = W0 + W1
+        node = TreeNode(dist=(W0 / total, W1 / total), cover=total)
+        if (depth >= params.max_depth or idx.size < params.min_samples_split
+                or W0 == 0.0 or W1 == 0.0):
+            return node
+        cols = sorted(subsets.draw())
+        split = _best_split(K.take(cols, axis=0).take(idx, axis=1), sums, W,
+                            _impurity(W0, W1))
         if split is None:
-            return leaf
+            return node
         _, c, a, b = split
         j = cols[c]
-        lower, upper = float(X[idx[a], j]), float(X[idx[b], j])
+        lower, upper = float(values[j][a]), float(values[j][b])
         thr = (lower + upper) / 2.0
         if not lower <= thr < upper:
             # the midpoint of adjacent floats can round onto the upper value,
             # and the sum can overflow: cut at the lower value, as scikit-learn
             # does, so that the rows go where the search scored them
             thr = lower
-        go_left = X[idx, j] <= thr
-        node = TreeNode(feature=j, threshold=thr)
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
-        node.dist = leaf.dist
-        node.cover = total
+        go_left = K[j].take(idx) <= (a << 1) | 1
+        node.feature, node.threshold = j, thr
+        node.left = grow(idx.compress(go_left), depth + 1)
+        node.right = grow(idx.compress(~go_left), depth + 1)
         return node
 
     try:
-        return grow(np.asarray(rows, dtype=np.intp), 0)
+        return grow(rows, 0)
     finally:
         # grow's closure holds grow itself: emptying that cell ends the cycle,
         # so X and the weights are freed now, not at the next cyclic collection
@@ -289,26 +279,26 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
                feature_names: tuple[str, ...] | None = None) -> Forest:
     """Bootstrap + balanced-weight ensemble, deterministic in ``seed``.
 
-    Finiteness is checked and rank keys are computed once here; each tree
-    indexes the shared matrices at its bootstrap rows.
+    Finiteness is checked and the rank keys, value tables and class sums
+    are computed once here; each tree indexes them at its bootstrap rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     if not np.all(np.isfinite(X)):
         raise ValueError("fit_forest features must be finite")
-    weights = sample_weight_vector(y)  # raises on single-class input
+    weights = balanced_weights(y)  # raises on single-class input
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))
     if len(feature_names) != d:
         raise ValueError("feature_names length must match feature count")
 
-    R = rank_keys(X)
+    ranks, sums = rank_keys(X, y), class_sums(weights, n)
     trees = []
     for t in range(params.n_trees):
         rng = SplitMix64(derive(seed, "tree", t))
         bidx = rng.randrange_block(n, n)
-        trees.append(fit_tree(X, y, weights, params, rng, ranks=R, rows=bidx))
+        trees.append(fit_tree(X, y, weights, params, rng, ranks=ranks, sums=sums, rows=bidx))
     return Forest(trees=trees, n_features=d, feature_names=tuple(feature_names),
                   seed=seed, params=params)
 

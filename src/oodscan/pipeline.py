@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .cohorts import make_cohort
 from .encoder import toy_encode
-from .errors import DataError, OodscanError
+from .errors import ConfigError, DataError, OodscanError
 from .forest import fit_forest, load_model, save_model
 from .manifest import (
     CohortManifest,
@@ -108,6 +108,14 @@ def _split_eval(cfg: RunConfig, manifest: CohortManifest, methods, **tables):
     )
 
 
+def _check_max_features(cfg: RunConfig, widths: dict[str, int]) -> None:
+    """Refuse, before any fit, a ``forest.max_features`` above a table's width."""
+    m = cfg.forest.max_features
+    for table, width in widths.items():
+        if m != "sqrt" and m > width:
+            raise ConfigError(f"forest.max_features {m} exceeds the {width} columns of {table}")
+
+
 def stage_gen(cfg: RunConfig) -> None:
     if not cfg.cohorts:
         raise DataError("config lists no cohorts to generate")
@@ -189,13 +197,15 @@ def stage_score(cfg: RunConfig) -> None:
 
 def stage_train(cfg: RunConfig) -> None:
     manifest = load_manifest(cfg.manifest)
-    for kind in ("deep", "radiomics"):
-        table = _labelled_table(cfg, manifest, kind)
+    paths = _paths(cfg)
+    tables = {kind: _labelled_table(cfg, manifest, kind) for kind in ("deep", "radiomics")}
+    _check_max_features(cfg, {str(paths[kind]): len(t.names) for kind, t in tables.items()})
+    for kind, table in tables.items():
         y = [1 if lbl == "OOD" else 0 for lbl in table.labels]
         forest = fit_forest(table.values, y, cfg.forest,
                             derive(cfg.protocol.base_seed, "train", kind),
                             feature_names=table.names)
-        save_model(forest, _paths(cfg)[f"model_{kind}"])
+        save_model(forest, paths[f"model_{kind}"])
 
 
 def stage_eval(cfg: RunConfig) -> None:
@@ -204,6 +214,9 @@ def stage_eval(cfg: RunConfig) -> None:
     deep = _labelled_table(cfg, manifest, "deep")
     radiomics = _labelled_table(cfg, manifest, "radiomics")
     baselines = read_scores_csv(paths["scores"])
+    narrowest = min(cfg.rfe_target, len(radiomics.names))  # RFE keeps rfe_target columns
+    _check_max_features(cfg, {str(paths["deep"]): len(deep.names),
+                              f"{paths['radiomics']} after rfe_target {cfg.rfe_target}": narrowest})
     report = _split_eval(cfg, manifest, METHOD_ORDER, deep_table=deep,
                          radiomics_table=radiomics, baseline_scores=baselines)
     write_per_seed_csv(report, paths["per_seed"])
@@ -227,13 +240,15 @@ def run_ablate(cfg: RunConfig) -> Path:
     paths = _paths(cfg)
     manifest = load_manifest(cfg.manifest)
     deep = _labelled_table(cfg, manifest, "deep")
-    stage_reports = {}
+    columns = {}
     for stage in cfg.ablate_stages:
-        keep = [i for i, n in enumerate(deep.names) if n.startswith(f"{stage}_")]
-        if not keep:
+        columns[stage] = [i for i, n in enumerate(deep.names) if n.startswith(f"{stage}_")]
+        if not columns[stage]:
             raise DataError(f"deep feature table has no columns for stage {stage}")
-        stage_reports[stage] = _split_eval(cfg, manifest, ("rf_deep",),
-                                           deep_table=deep.select_columns(keep))
+    _check_max_features(cfg, {f"stage {s} of {paths['deep']}": len(c) for s, c in columns.items()})
+    stage_reports = {stage: _split_eval(cfg, manifest, ("rf_deep",),
+                                        deep_table=deep.select_columns(keep))
+                     for stage, keep in columns.items()}
     write_ablation_csv(stage_reports, paths["ablation"])
     return paths["ablation"]
 

@@ -171,27 +171,42 @@ class SplitMix64:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates.
 
-        Step i draws ``randrange(n - i)``. The k words are drawn as one
-        block; on the first word the scalar rule would reject, the stream is
-        rewound to it and the remaining steps run scalar, so the result and
-        the final state equal the all-scalar shuffle.
-        """
+class IndexSubsets:
+    """Successive draws of ``k`` distinct indices from range(n) out of ``rng``:
+    partial Fisher-Yates, step i swapping in ``i + rng.randrange(n - i)``.
+
+    The first draw runs scalar, sparing a one-split tree a block; later ones
+    come from words drawn ahead in blocks of whole draws (16, doubling up to
+    512), up to the first draw with a word the scalar rule rejects, which
+    runs scalar. Each draw leaves ``rng`` where scalar draws leave it and
+    first checks that it is still there, else drops the words drawn ahead.
+    """
+
+    def __init__(self, rng: SplitMix64, n: int, k: int):
         if not 0 <= k <= n:
-            raise ValueError("sample_indices() needs 0 <= k <= n")
-        start = self._state
+            raise ValueError("IndexSubsets needs 0 <= k <= n")
+        self._rng, self._n, self._k = rng, n, k
+        bounds = range(n, n - k, -1)  # randrange(b) takes the words below 2**64 - 2**64 % b
+        self._bounds = np.array(bounds, dtype=np.uint64)
+        self._tops = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
+        self._swaps, self._next, self._state, self._size = [], 0, -1, 16
+
+    def draw(self) -> list[int]:
+        rng, n, k = self._rng, self._n, self._k
+        if self._state != -1 and (self._next == len(self._swaps) or rng._state != self._state):
+            words = SplitMix64(rng._state).u64_block(self._size * k).reshape(self._size, k)
+            ok = (words <= self._tops).all(axis=1)
+            words = words[:self._size if ok.all() else int(ok.argmin())] % self._bounds
+            self._swaps = (words + np.arange(k, dtype=np.uint64)).tolist()
+            self._next, self._size = 0, min(2 * self._size, 512)
+        if self._next < len(self._swaps):
+            swaps, self._next = self._swaps[self._next], self._next + 1
+            rng._state = (rng._state + k * _GOLDEN) & _MASK64
+        else:  # the first draw, or a block's first draw holds a rejected word
+            swaps = [i + rng.randrange(n - i) for i in range(k)]
+        self._state = rng._state
         pool = list(range(n))
-        for i, x in enumerate(self.u64_block(k).tolist()):
-            bound = n - i
-            # the limit exceeds 2**64 - bound, so most words skip its modulo
-            if x > _MASK64 - bound and x >= (1 << 64) - ((1 << 64) % bound):
-                self._state = (start + i * _GOLDEN) & _MASK64
-                for i in range(i, k):
-                    j = i + self.randrange(n - i)
-                    pool[i], pool[j] = pool[j], pool[i]
-                break
-            j = i + x % bound
+        for i, j in enumerate(swaps):
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

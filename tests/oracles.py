@@ -360,6 +360,47 @@ def per_feature_best_split(Xn, w0n, w1n, feat_ids, parent_impurity):
     return best
 
 
+def argsort_best_split(K, w0n, w1n, W0, W1, parent_impurity):
+    """Best (decrease, column, row_a, row_b) over the columns of ``K``, or
+    None: the random forest's split search before it counted classes over
+    label-tagged keys. ``K`` (n, m) holds the node's dense ranks of the
+    candidate features; ``w0n``/``w1n`` are its rows' class weights and
+    ``W0``/``W1`` their ``np.add.reduce``. The stable argsort of the ranks
+    and two float prefix sums give each cut's left weights; the cut falls
+    between node rows ``row_a`` and ``row_b``.
+    """
+    order = K.argsort(axis=0, kind="stable")
+    columns = np.arange(K.shape[1])
+    ks = K[order, columns]
+    boundary = ks[:-1] < ks[1:]
+    if not boundary.any():
+        return None
+    l0 = w0n[order].cumsum(axis=0)[:-1]
+    l1 = w1n[order].cumsum(axis=0)[:-1]
+    r0, r1 = W0 - l0, W1 - l1
+    right = r0 + r1
+    r0 *= r0
+    r1 *= r1
+    r0 += r1
+    r0 /= right
+    np.subtract(right, r0, out=right)
+    del r0, r1
+    dec = l0 + l1
+    l0 *= l0
+    l1 *= l1
+    l0 += l1
+    l0 /= dec
+    np.subtract(dec, l0, out=dec)
+    np.subtract(parent_impurity, dec, out=dec)
+    dec -= right
+    dec[~boundary] = -np.inf
+    rows = dec.argmax(axis=0)
+    col_best = dec[rows, columns]
+    c = int(col_best.argmax())
+    k = int(rows[c])
+    return float(col_best[c]), c, int(order[k, c]), int(order[k + 1, c])
+
+
 def float_key_best_split(V, w0n, w1n, W0, W1, parent_impurity):
     """Best (decrease, column, lower, upper) over the columns of ``V``, or
     None: the random forest's 2-D split search before it sorted rank keys,
@@ -406,7 +447,7 @@ def float_key_tree(X, y, w, max_depth, min_samples_split, m, rng):
         dist = (float(W0) / total, float(W1) / total)
         if depth >= max_depth or idx.size < min_samples_split or W0 == 0.0 or W1 == 0.0:
             return ("leaf", dist, total)
-        cols = sorted(rng.sample_indices(d, m))
+        cols = sorted(scalar_sample_indices(rng, d, m))
         a, b = float(W0), float(W1)
         parent = (a + b) - (a * a + b * b) / (a + b)
         split = float_key_best_split(X[idx[:, None], cols], w0n, w1n, W0, W1, parent)

@@ -18,11 +18,11 @@ from oodscan.cli import main as cli_main
 from oodscan.forest import (
     Forest,
     RFParams,
+    balanced_weights,
     fit_forest,
     fit_tree,
     load_model,
     predict_proba_batch,
-    sample_weight_vector,
     save_model,
 )
 from oodscan.metrics import auroc, fpr_at_tpr
@@ -132,7 +132,7 @@ def test_criterion_03_rf_sanity():
 
     X_xor = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y_xor = np.array([0, 1, 1, 0])
-    tree = fit_tree(X_xor, y_xor, np.ones(4),
+    tree = fit_tree(X_xor, y_xor, (1.0, 1.0),
                     RFParams(max_depth=2, max_features=2), SplitMix64(5))
     xor_forest = Forest(trees=[tree], n_features=2, feature_names=("a", "b"),
                         seed=0, params=RFParams(n_trees=1))
@@ -152,7 +152,7 @@ def test_criterion_03_rf_sanity():
         Xt = Xd.copy()
         for j in range(4):
             Xt[:, j] = transforms[drng.randrange(4)](Xd[:, j])
-        w = sample_weight_vector(yd)
+        w = balanced_weights(yd)
         params = RFParams(max_depth=6)
         ta = fit_tree(Xd, yd, w, params, SplitMix64(seed))
         tb = fit_tree(Xt, yd, w, params, SplitMix64(seed))
@@ -183,8 +183,7 @@ def test_criterion_04_balanced_weights():
         for t in range(params.n_trees):
             trng = SplitMix64(derive(seed, "tree", t))
             bidx = np.array([trng.randrange(100) for _ in range(100)])
-            flat_trees.append(fit_tree(X[bidx], y[bidx], np.ones(100)[bidx],
-                                       params, trng))
+            flat_trees.append(fit_tree(X[bidx], y[bidx], (1.0, 1.0), params, trng))
         flat = Forest(trees=flat_trees, n_features=2, feature_names=("a", "b"),
                       seed=seed, params=params)
         rf.append(float((predict_proba_batch(flat, X)[:, 1] > 0.5)[y == 1].mean()))

@@ -412,6 +412,7 @@ def test_config_error_exit_code(tmp_path):
     ("eval", {"rfe_step": [1]}),
     ("gen", {"threads": "two"}),
     ("ablate", {"ablate_stages": 3}),
+    ("ablate", {"ablate_stages": []}),
     ("train", {"forest": {"n_trees": 2.5}}),
     ("eval", {"protocol": {"n_seeds": 1.5}}),
     pytest.param("gen", _raw_byte(17, 0xFF), id="gen-not-utf8"),
@@ -448,6 +449,31 @@ def test_malformed_list_or_path_config_value_exits_2(tmp_path, capsys, command, 
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error stage=config ConfigError: ")
+
+
+@pytest.mark.parametrize("command, overrides, width, table, untouched", [
+    # 33 deep columns: 32 pooled channels and the fallback flag
+    ("train", {"max_features": 64}, 33, "features_deep.csv", "rf_deep.model.json"),
+    ("eval", {"max_features": 20, "rfe_target": 16}, 16,
+     "features_radiomics.csv after rfe_target 16", "per_seed.csv"),
+    ("ablate", {"max_features": 5}, 4, "stage PE of", "ablation.csv"),
+], ids=["train", "eval-after-rfe", "ablate-stage"])
+def test_max_features_wider_than_a_table_exits_2(finished_run, tmp_path, capsys, command,
+                                                 overrides, width, table, untouched):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    forest = {"n_trees": 6, "max_depth": 5, "max_features": overrides.pop("max_features")}
+    cfg = write_config(run, forest=forest, **overrides)
+    artifact = run / "work" / untouched
+    before = artifact.read_bytes() if artifact.exists() else None
+
+    assert main([command, "--config", str(cfg)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error stage={command} ConfigError: forest.max_features "
+                           f"{forest['max_features']} exceeds the {width} columns of ")
+    assert table in last
+    # refused before any fit: nothing was written
+    assert (artifact.read_bytes() if artifact.exists() else None) == before
 
 
 def test_negative_explain_limit_exits_2(tmp_path, capsys):

@@ -18,8 +18,8 @@ from oodscan.forest import (
     predict_proba,
     predict_proba_batch,
     predict_scan,
+    class_sums,
     rank_keys,
-    sample_weight_vector,
     save_model,
     _PAIR_BLOCK,
     _best_split,
@@ -28,6 +28,7 @@ from oodscan.forest import (
 from oodscan.rng import SplitMix64, derive
 
 from oracles import (
+    argsort_best_split,
     float_key_best_split,
     float_key_tree,
     per_feature_best_split,
@@ -73,11 +74,15 @@ def test_weighted_gini_values():
 
 # --- split search ------------------------------------------------------------
 
+CLASS_WEIGHTS = st.sampled_from([0.625, 2.5, 1.0]) | st.floats(0.01, 10)
+
+
 @st.composite
 def split_nodes(draw):
-    """A node's rows, class weights and candidate features: tie-heavy integer
-    columns, continuous, constant and two-valued (one boundary) columns,
-    copied columns that tie across features, and duplicated rows."""
+    """A node's rows, labels, class weights and candidate features:
+    tie-heavy integer columns, continuous, constant and two-valued (one
+    boundary) columns, copied columns that tie across features, and
+    duplicated rows. Every row carries its class's weight, as in a forest."""
     n = draw(st.integers(2, 64))
     d = draw(st.integers(1, 6))
     columns = []
@@ -99,10 +104,30 @@ def split_nodes(draw):
     if draw(st.booleans()):  # a bootstrap-style sample repeats rows
         X = X[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.sampled_from([0.625, 2.5, 1.0]) | st.floats(0.01, 10),
-                               min_size=n, max_size=n)))
+    weights = (draw(CLASS_WEIGHTS), draw(CLASS_WEIGHTS))
     feat_ids = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
-    return X, w * (y == 0), w * (y == 1), feat_ids
+    return X, y, weights, feat_ids
+
+
+def class_rows(y, weights):
+    """Each row's class-0 and class-1 weight: w_c or 0.0."""
+    w = np.where(y == 1, weights[1], weights[0])
+    return w * (y == 0), w * (y == 1)
+
+
+def count_split(X, y, weights, cols, ranks=None):
+    """The forest's split search over the columns ``cols`` (ascending) of
+    the rows of ``X``, as (decrease, index into cols, lower, upper): the
+    values of the cut's two ranks. ``ranks`` are the keys and value tables
+    to search, by default ``rank_keys(X, y)``."""
+    K, values = rank_keys(X, y) if ranks is None else ranks
+    w0n, w1n = class_rows(y, weights)
+    W = np.array([np.add.reduce(w0n), np.add.reduce(w1n)])
+    split = _best_split(K[cols], class_sums(weights, len(y)), W, _impurity(*W.tolist()))
+    if split is None:
+        return None
+    dec, c, a, b = split
+    return dec, c, float(values[cols[c]][a]), float(values[cols[c]][b])
 
 
 def _bits(split):
@@ -114,14 +139,14 @@ def _bits(split):
 
 @given(split_nodes())
 def test_2d_split_search_is_bit_equal_to_per_feature_search(node):
-    X, w0n, w1n, feat_ids = node
-    W0, W1 = w0n.sum(), w1n.sum()
-    parent = _impurity(float(W0), float(W1))
+    X, y, weights, feat_ids = node
+    w0n, w1n = class_rows(y, weights)
+    parent = _impurity(float(w0n.sum()), float(w1n.sum()))
     cols = sorted(feat_ids)
-    got = _best_split(rank_keys(X[:, cols]), w0n, w1n, W0, W1, parent)
+    got = count_split(X, y, weights, cols)
     if got is not None:
-        dec, c, a, b = got
-        got = (dec, cols[c], float((X[a, cols[c]] + X[b, cols[c]]) / 2.0))
+        dec, c, lower, upper = got
+        got = (dec, cols[c], (lower + upper) / 2.0)
     assert _bits(got) == _bits(per_feature_best_split(X, w0n, w1n, feat_ids, parent))
 
 
@@ -130,20 +155,18 @@ def test_split_ties_go_to_lowest_feature_then_lowest_threshold():
     X = np.array([[0.0, 5.0, 0.0], [1.0, 5.0, 1.0], [2.0, 5.0, 2.0], [3.0, 5.0, 3.0],
                   [4.0, 5.0, 4.0], [5.0, 5.0, 5.0]])
     y = np.array([0, 0, 1, 1, 0, 0])
-    w0n, w1n = 1.0 * (y == 0), 1.0 * (y == 1)
-    dec, col, a, b = _best_split(rank_keys(X[:, [0, 1, 2]]), w0n, w1n, 4.0, 2.0,
-                                 _impurity(4.0, 2.0))
-    thr = (X[a, col] + X[b, col]) / 2.0
-    assert (col, thr) == (0, 1.5)
-    assert _best_split(rank_keys(X[:, [1]]), w0n, w1n, 4.0, 2.0, _impurity(4.0, 2.0)) is None
+    _, col, lower, upper = count_split(X, y, (1.0, 1.0), [0, 1, 2])
+    assert (col, (lower + upper) / 2.0) == (0, 1.5)
+    assert count_split(X, y, (1.0, 1.0), [1]) is None
 
 
 @st.composite
 def rank_key_nodes(draw):
     """A float matrix whose columns stress rank keys and cuts (ties across
     distinct rows, +-0.0, runs of adjacent floats, values whose sums
-    overflow, all-equal columns), bootstrap rows of it that repeat some
-    rows, and the sample's labels and weights."""
+    overflow, all-equal columns, distinct values that make one-row tie
+    groups), labels of its rows, class weights, and bootstrap rows of it
+    that repeat some rows."""
     n = draw(st.integers(2, 48))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
@@ -168,27 +191,75 @@ def rank_key_nodes(draw):
     X = np.array(columns, dtype=np.float64).T
     bidx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.sampled_from([0.625, 2.5]) | st.floats(0.01, 10),
-                               min_size=n, max_size=n)))
-    return X, bidx, y, w
+    return X, bidx, y, (draw(CLASS_WEIGHTS), draw(CLASS_WEIGHTS))
+
+
+def _cut(split, values):
+    """(decrease bits, column, lower rank, upper rank) of a split that
+    names its cut by two values of the column: ``values`` is the column's
+    sorted distinct values, in which -0.0 finds the rank of 0.0."""
+    if split is None:
+        return None
+    dec, c, lower, upper = split
+    return (dec.hex(), c, int(np.searchsorted(values[c], lower)),
+            int(np.searchsorted(values[c], upper)))
 
 
 @given(rank_key_nodes())
 def test_rank_key_search_is_bit_equal_to_float_key_search(node):
-    X, bidx, y, w = node
-    V = X[bidx]
-    w0n, w1n = w * (y == 0), w * (y == 1)
-    W0, W1 = w0n.sum(), w1n.sum()
+    X, bidx, y, weights = node
+    V, yV = X[bidx], y[bidx]
+    w0n, w1n = class_rows(yV, weights)
+    parent = _impurity(float(w0n.sum()), float(w1n.sum()))
+    want = float_key_best_split(V, w0n, w1n, w0n.sum(), w1n.sum(), parent)
+    values = rank_keys(V, yV)[1]
+    # keys of the whole matrix taken at the bootstrap rows, as fit_forest
+    # passes them, and keys of the sample itself, as fit_tree computes them
+    K, full_values = rank_keys(X, y)
+    cols = list(range(X.shape[1]))
+    for ranks in ((K[:, bidx], full_values), None):
+        got = count_split(V, yV, weights, cols, ranks)
+        assert _cut(got, values) == _cut(want, values)
+
+
+@given(rank_key_nodes(), st.sampled_from(["one", "all"]), st.data())
+def test_count_search_is_bit_equal_to_argsort_and_float_key_search(node, m, data):
+    X, bidx, y, weights = node
+    V, yV = X[bidx], y[bidx]
+    d = X.shape[1]
+    cols = ([data.draw(st.integers(0, d - 1))] if m == "one" else list(range(d)))
+    w0n, w1n = class_rows(yV, weights)
+    W0, W1 = np.add.reduce(w0n), np.add.reduce(w1n)
     parent = _impurity(float(W0), float(W1))
-    want = float_key_best_split(V, w0n, w1n, W0, W1, parent)
-    # ranks of the whole matrix taken at the bootstrap rows, as fit_forest
-    # passes them, and ranks of the sample itself, as fit_tree computes them
-    for K in (rank_keys(X)[bidx], rank_keys(V)):
-        got = _best_split(K, w0n, w1n, W0, W1, parent)
-        if got is not None:
-            dec, c, a, b = got
-            got = (dec, c, float(V[a, c]), float(V[b, c]))
-        assert repr(got) == repr(want)
+    K, values = rank_keys(V, yV)
+    ranks = (K >> 1).T  # dense ranks, (n, d)
+    got = _cut(count_split(V, yV, weights, cols), [values[j] for j in cols])
+    by_argsort = argsort_best_split(ranks[:, cols], w0n, w1n, W0, W1, parent)
+    if by_argsort is not None:
+        dec, c, a, b = by_argsort
+        by_argsort = (dec.hex(), c, int(ranks[a, cols[c]]), int(ranks[b, cols[c]]))
+    by_value = float_key_best_split(V[:, cols], w0n, w1n, W0, W1, parent)
+    assert got == by_argsort == _cut(by_value, [values[j] for j in cols])
+
+
+def test_rank_keys_tag_ranks_with_labels_and_keep_the_values():
+    X = np.array([[2.0, -0.0], [-1.0, 0.0], [2.0, 5.0]])
+    K, values = rank_keys(X, np.array([1, 0, 0]))
+    assert K.tolist() == [[3, 0, 2], [1, 0, 2]]
+    assert [v.tolist() for v in values] == [[-1.0, 2.0], [0.0, 5.0]]
+    for y in (np.array([0, 1, 2]), np.array([0, 1])):
+        with pytest.raises(ValueError):
+            rank_keys(X, y)
+
+
+def test_class_sums_add_each_weight_one_after_another():
+    T = class_sums((0.1, 2.5), 9)
+    for c, w in enumerate((0.1, 2.5)):
+        run = [0.0]
+        for _ in range(9):
+            run.append(run[-1] + w)
+        assert T[c].tolist() == run
+        assert T[c].tolist() == [0.0, *np.cumsum(np.full(9, w)).tolist()]
 
 
 def _tree_tuple(node):
@@ -218,24 +289,29 @@ def assert_cuts_where_scored(tree, V, y, w, idx):
 
 @given(rank_key_nodes(), st.data())
 def test_rank_key_tree_is_bit_equal_to_float_key_tree(node, data):
-    X, bidx, y, w = node
+    X, bidx, y, weights = node
+    V, yV = X[bidx], y[bidx]
+    w = np.where(yV == 1, weights[1], weights[0])
     seed = data.draw(st.integers(0, 2**32))
     m = data.draw(st.integers(1, X.shape[1]))
     params = RFParams(max_depth=data.draw(st.integers(1, 8)), max_features=m)
-    want = float_key_tree(X[bidx], y, w, params.max_depth, 2, m, SplitMix64(seed))
-    assert_cuts_where_scored(want, X[bidx], y, w, np.arange(len(bidx)))
-    # repr tells -0.0 from 0.0 and prints every float exactly
-    for ranks in (rank_keys(X)[bidx], None):
-        got = fit_tree(X[bidx], y, w, params, SplitMix64(seed), ranks=ranks)
+    want = float_key_tree(V, yV, w, params.max_depth, 2, m, SplitMix64(seed))
+    assert_cuts_where_scored(want, V, yV, w, np.arange(len(bidx)))
+    # repr tells -0.0 from 0.0 and prints every float exactly; the tree on
+    # the bootstrap rows of X is the one fit_forest grows
+    for got in (fit_tree(V, yV, weights, params, SplitMix64(seed)),
+                fit_tree(X, y, weights, params, SplitMix64(seed),
+                         ranks=rank_keys(X, y), sums=class_sums(weights, len(bidx)),
+                         rows=bidx)):
         assert repr(_tree_tuple(got)) == repr(want)
 
 
 @given(rank_key_nodes(), st.integers(0, 2**32))
 def test_tree_on_shared_rows_is_bit_equal_to_tree_on_their_copy(node, seed):
-    X, bidx, y, w = node  # here y and w label the rows of X
+    X, bidx, y, weights = node
     params = RFParams(max_depth=6, max_features=1)
-    want = fit_tree(X[bidx], y[bidx], w[bidx], params, SplitMix64(seed))
-    got = fit_tree(X, y, w, params, SplitMix64(seed), ranks=rank_keys(X), rows=bidx)
+    want = fit_tree(X[bidx], y[bidx], weights, params, SplitMix64(seed))
+    got = fit_tree(X, y, weights, params, SplitMix64(seed), ranks=rank_keys(X, y), rows=bidx)
     assert repr(_tree_tuple(got)) == repr(_tree_tuple(want))
 
 
@@ -245,7 +321,7 @@ def test_tree_on_shared_rows_is_bit_equal_to_tree_on_their_copy(node, seed):
     (-1.7e308, -1.5e308),  # ... and to -inf
 ])
 def test_cut_whose_midpoint_is_not_below_the_upper_value_is_at_the_lower(lower, upper):
-    tree = fit_tree(np.array([[lower], [upper]]), np.array([0, 1]), np.ones(2),
+    tree = fit_tree(np.array([[lower], [upper]]), np.array([0, 1]), (1.0, 1.0),
                     RFParams(max_features=1), SplitMix64(0))
     assert tree.threshold == lower
     assert tree.left.dist == (1.0, 0.0) and tree.right.dist == (0.0, 1.0)
@@ -253,9 +329,17 @@ def test_cut_whose_midpoint_is_not_below_the_upper_value_is_at_the_lower(lower, 
 
 def test_fit_tree_rejects_ranks_of_another_shape():
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([0, 1])
     with pytest.raises(ValueError):
-        fit_tree(X, np.array([0, 1]), np.ones(2), RFParams(), SplitMix64(0),
-                 ranks=rank_keys(X[:, :1]))
+        fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(0), ranks=rank_keys(X[:, :1], y))
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.0), (-1.0, 1.0), (1.0, np.inf),
+                                     (np.nan, 1.0), np.ones(3)])
+def test_fit_tree_rejects_class_weights_that_are_not_two_positive_numbers(weights):
+    X = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError):
+        fit_tree(X, np.array([0, 1]), weights, RFParams(), SplitMix64(0))
 
 
 # --- single trees -------------------------------------------------------------
@@ -263,7 +347,7 @@ def test_fit_tree_rejects_ranks_of_another_shape():
 def test_separable_1d_split_at_midpoint():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, np.ones(4), RFParams(max_features=1), SplitMix64(0))
+    tree = fit_tree(X, y, (1.0, 1.0), RFParams(max_features=1), SplitMix64(0))
     assert tree.feature == 0
     assert tree.threshold == 1.5
     assert tree.left.is_leaf() and tree.left.dist == (1.0, 0.0)
@@ -273,8 +357,7 @@ def test_separable_1d_split_at_midpoint():
 def test_identical_rows_mixed_labels_single_leaf():
     X = np.ones((6, 3))
     y = np.array([0, 1, 0, 1, 1, 1])
-    w = sample_weight_vector(y)
-    tree = fit_tree(X, y, w, RFParams(), SplitMix64(1))
+    tree = fit_tree(X, y, balanced_weights(y), RFParams(), SplitMix64(1))
     assert tree.is_leaf()
     assert tree.dist[0] == pytest.approx(0.5)  # balanced prior
     assert tree.dist[1] == pytest.approx(0.5)
@@ -283,7 +366,7 @@ def test_identical_rows_mixed_labels_single_leaf():
 def test_xor_exact_at_depth_two():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    tree = fit_tree(X, y, np.ones(4), RFParams(max_depth=2, max_features=2),
+    tree = fit_tree(X, y, (1.0, 1.0), RFParams(max_depth=2, max_features=2),
                     SplitMix64(5))
     forest = Forest(trees=[tree], n_features=2, feature_names=("a", "b"),
                     seed=0, params=RFParams(n_trees=1))
@@ -295,7 +378,7 @@ def test_xor_exact_at_depth_two():
 def test_zero_weight_class_becomes_leaf():
     X = np.array([[0.0], [1.0]])
     y = np.array([1, 1])
-    tree = fit_tree(X, y, np.ones(2), RFParams(), SplitMix64(2))
+    tree = fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(2))
     assert tree.is_leaf() and tree.dist == (0.0, 1.0)
 
 
@@ -308,8 +391,7 @@ def test_single_tree_forest_reduces_to_bootstrap_tree():
 
     rng = SplitMix64(derive(9, "tree", 0))
     bidx = np.array([rng.randrange(len(X)) for _ in range(len(X))])
-    w = sample_weight_vector(y)
-    tree = fit_tree(X[bidx], y[bidx], w[bidx], params, rng)
+    tree = fit_tree(X[bidx], y[bidx], balanced_weights(y), params, rng)
     manual = Forest(trees=[tree], n_features=2, feature_names=("f0", "f1"),
                     seed=9, params=params)
     probe = gaussian_blobs(n=30, seed=8)[0]
@@ -500,7 +582,7 @@ def test_monotone_transform_invariance():
         assert np.array_equal(np.argsort(mdi_importance(base)),
                               np.argsort(mdi_importance(trans)))
 
-        w = sample_weight_vector(y)
+        w = balanced_weights(y)
         tree_a = fit_tree(X, y, w, params, SplitMix64(seed))
         tree_b = fit_tree(Xt, y, w, params, SplitMix64(seed))
         one_a = Forest(trees=[tree_a], n_features=4,
@@ -530,8 +612,7 @@ def test_balanced_weights_help_minority_recall():
         for t in range(params.n_trees):
             trng = SplitMix64(derive(seed, "tree", t))
             bidx = np.array([trng.randrange(len(X)) for _ in range(len(X))])
-            flat_trees.append(fit_tree(X[bidx], y[bidx], np.ones(len(X))[bidx],
-                                       params, trng))
+            flat_trees.append(fit_tree(X[bidx], y[bidx], (1.0, 1.0), params, trng))
         flat = Forest(trees=flat_trees, n_features=2, feature_names=("a", "b"),
                       seed=seed, params=params)
         pred_f = predict_proba_batch(flat, X)[:, 1] > 0.5

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodscan.rng import SplitMix64, derive, mix64
+from oodscan.rng import IndexSubsets, SplitMix64, derive, mix64
 
 from oracles import scalar_sample_indices, seed_whose_draw_is, splitmix64_reference
 
@@ -127,30 +127,58 @@ def test_randrange_block_rejects_bad_bounds():
         r.randrange_block(5, -1)
 
 
-@given(SEEDS, st.integers(1, 200), st.data())
-def test_sample_indices_equals_scalar_fisher_yates(seed, n, data):
+@given(SEEDS, st.integers(1, 200), st.integers(1, 40), st.data())
+def test_sample_indices_equals_scalar_fisher_yates(seed, n, draws, data):
     k = data.draw(st.integers(0, n))
     a = SplitMix64(seed)
     b = SplitMix64(seed)
-    assert a.sample_indices(n, k) == scalar_sample_indices(b, n, k)
-    assert a._state == b._state
+    subsets = IndexSubsets(a, n, k)
+    for _ in range(draws):  # one scalar draw, a block of 16, then one of 32
+        assert subsets.draw() == scalar_sample_indices(b, n, k)
+        assert a._state == b._state
 
 
-@pytest.mark.parametrize("step", [0, 3, 10])
+@pytest.mark.parametrize("step", [0, 3, 10, 11, 40, 200])
 def test_sample_indices_falls_back_to_scalar_on_a_rejected_word(step):
-    seed = seed_whose_draw_is(2**64 - 1, step)  # rejected: 129 - step is no power of two
+    # word ``step`` is in draw step // 11 (draw 0 runs scalar, draw 1 opens
+    # the first block and draw 18 sits inside the second); it is rejected,
+    # as 129 - step % 11 is no power of two, and every later word moves on
+    seed = seed_whose_draw_is(2**64 - 1, step)
     a = SplitMix64(seed)
     b = SplitMix64(seed)
-    assert a.sample_indices(129, 11) == scalar_sample_indices(b, 129, 11)
-    assert a._state == b._state
+    subsets = IndexSubsets(a, 129, 11)
+    for _ in range(30):
+        assert subsets.draw() == scalar_sample_indices(b, 129, 11)
+        assert a._state == b._state
+
+
+@given(SEEDS, st.lists(st.sampled_from(["draw", "next_u64", "randrange"]), max_size=30))
+def test_subsets_drop_their_words_when_the_stream_moves(seed, calls):
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    subsets = IndexSubsets(a, 30, 4)
+    for call in ["draw", *calls, "draw"]:
+        if call == "draw":
+            assert subsets.draw() == scalar_sample_indices(b, 30, 4)
+        elif call == "next_u64":
+            assert a.next_u64() == b.next_u64()
+        else:
+            assert a.randrange(7) == b.randrange(7)
+        assert a._state == b._state
 
 
 def test_sample_indices_distinct():
-    r = SplitMix64(8)
+    subsets = IndexSubsets(SplitMix64(8), 12, 5)
     for _ in range(50):
-        got = r.sample_indices(12, 5)
+        got = subsets.draw()
         assert len(set(got)) == 5
         assert all(0 <= g < 12 for g in got)
+
+
+def test_subsets_reject_k_outside_range():
+    for n, k in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            IndexSubsets(SplitMix64(0), n, k)
 
 
 def test_derive_is_stable_and_sensitive():
