@@ -203,12 +203,13 @@ def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
     """Grow one CART tree; feature subsets come from ``rng`` depth-first,
     left child first. Each row weighs ``class_weights[y]``.
 
-    ``ranks`` are ``rank_keys(X, y)`` and ``sums`` ``class_sums`` over at
-    least the tree's row count, by default computed here. ``rows`` grows
-    the tree on the rows ``X[rows]`` (with repeats, in that order) without
-    copying them; the caller has then checked that ``X`` is finite, as
-    ``fit_forest`` does. A node's class weights are ``np.add.reduce`` of its
-    rows' weights: a pairwise sum, which depends on where each row sits.
+    ``ranks`` are ``rank_keys(X, y)`` and ``sums`` ``class_sums`` of
+    ``class_weights`` over at least the tree's row count, by default
+    computed here. ``rows`` grows the tree on the rows ``X[rows]`` (with
+    repeats, in that order) without copying them; the caller has then
+    checked that ``X`` is finite, as ``fit_forest`` does. A node's class
+    weights are ``np.add.reduce`` of its rows' weights: a pairwise sum,
+    which depends on where each row sits.
 
     A threshold is the midpoint of the cut's two values, or the lower one
     when the midpoint is not below the upper. The value table keeps one
@@ -235,6 +236,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
     if K.shape != X.shape[::-1]:
         raise ValueError("ranks must be the rank keys of X")
     sums = class_sums(weights, rows.size) if sums is None else sums
+    if sums.shape[1] <= rows.size or sums[:, 1].tolist() != weights.tolist():
+        raise ValueError("sums must be the class_sums of class_weights over the rows")
     d = X.shape[1]
     subsets = IndexSubsets(rng, d, params.resolve_max_features(d))
     row_weights = (y == np.arange(2)[:, None]) * weights[:, None]  # (2, N): w_c or 0.0

@@ -33,7 +33,7 @@ from .manifest import (
 )
 from .ovf import write_ovf
 from .parallel import parallel_map
-from .protocol import METHOD_ORDER, repeated_split_eval
+from .protocol import METHOD_ORDER, fitted_width, repeated_split_eval
 from .radiomics import RADIOMICS_NAMES, radiomics_lite
 from .regions import deep_feature_names, deep_feature_vector, tumor_crops
 from .report import (
@@ -110,10 +110,12 @@ def _split_eval(cfg: RunConfig, manifest: CohortManifest, methods, **tables):
 
 def _check_max_features(cfg: RunConfig, widths: dict[str, int]) -> None:
     """Refuse, before any fit, a ``forest.max_features`` above a table's width."""
-    m = cfg.forest.max_features
     for table, width in widths.items():
-        if m != "sqrt" and m > width:
-            raise ConfigError(f"forest.max_features {m} exceeds the {width} columns of {table}")
+        try:
+            cfg.forest.resolve_max_features(width)
+        except ValueError as exc:
+            raise ConfigError(f"forest.max_features {cfg.forest.max_features} exceeds "
+                              f"the {width} columns of {table}") from exc
 
 
 def stage_gen(cfg: RunConfig) -> None:
@@ -214,9 +216,9 @@ def stage_eval(cfg: RunConfig) -> None:
     deep = _labelled_table(cfg, manifest, "deep")
     radiomics = _labelled_table(cfg, manifest, "radiomics")
     baselines = read_scores_csv(paths["scores"])
-    narrowest = min(cfg.rfe_target, len(radiomics.names))  # RFE keeps rfe_target columns
     _check_max_features(cfg, {str(paths["deep"]): len(deep.names),
-                              f"{paths['radiomics']} after rfe_target {cfg.rfe_target}": narrowest})
+                              f"{paths['radiomics']} after rfe_target {cfg.rfe_target}":
+                              fitted_width(len(radiomics.names), cfg.rfe_target)})
     report = _split_eval(cfg, manifest, METHOD_ORDER, deep_table=deep,
                          radiomics_table=radiomics, baseline_scores=baselines)
     write_per_seed_csv(report, paths["per_seed"])

@@ -106,6 +106,11 @@ def _row_index(table: FeatureTable) -> dict[str, list[int]]:
     return idx
 
 
+def fitted_width(n_columns: int, rfe_target: int | None) -> int:
+    """Columns a forest is fitted on: RFE leaves ``rfe_target`` of a wider table."""
+    return n_columns if rfe_target is None else min(rfe_target, n_columns)
+
+
 def _rf_seed_scores(table: FeatureTable, splits: dict[str, _Split], *,
                     params: RFParams, forest_seed: int,
                     rfe_target: int | None, rfe_step: int | None,
@@ -118,9 +123,9 @@ def _rf_seed_scores(table: FeatureTable, splits: dict[str, _Split], *,
     X_train, y_train, _ = _scan_matrix(table, train_ids, row_index)
 
     columns = None
-    if rfe_target is not None and rfe_target < X_train.shape[1]:
+    if (width := fitted_width(X_train.shape[1], rfe_target)) < X_train.shape[1]:
         step = rfe_step if rfe_step else max(1, X_train.shape[1] // 10)
-        columns = rfe(X_train, y_train, params, rfe_target, step, rfe_seed)
+        columns = rfe(X_train, y_train, params, width, step, rfe_seed)
         X_train = X_train[:, columns]
 
     forest = fit_forest(X_train, y_train, params, forest_seed,

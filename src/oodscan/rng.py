@@ -177,11 +177,13 @@ class IndexSubsets:
     partial Fisher-Yates, step i swapping in ``i + rng.randrange(n - i)``.
 
     The first draw runs scalar, sparing a one-split tree a block; later ones
-    come from words drawn ahead in blocks of whole draws (16, doubling up to
-    512), up to the first draw with a word the scalar rule rejects, which
-    runs scalar. Each draw leaves ``rng`` where scalar draws leave it and
-    first checks that it is still there, else drops the words drawn ahead.
+    come from words drawn ahead in blocks of ``_BLOCK`` whole draws, up to
+    the first draw with a word the scalar rule rejects, which runs scalar.
+    Each draw leaves ``rng`` where scalar draws leave it and first checks
+    that it is still there, else drops the words drawn ahead.
     """
+
+    _BLOCK = 16  # a tree draws once per split; one block holds 99 % of `hard`'s trees
 
     def __init__(self, rng: SplitMix64, n: int, k: int):
         if not 0 <= k <= n:
@@ -190,16 +192,16 @@ class IndexSubsets:
         bounds = range(n, n - k, -1)  # randrange(b) takes the words below 2**64 - 2**64 % b
         self._bounds = np.array(bounds, dtype=np.uint64)
         self._tops = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
-        self._swaps, self._next, self._state, self._size = [], 0, -1, 16
+        self._swaps, self._next, self._state = [], 0, -1
 
     def draw(self) -> list[int]:
         rng, n, k = self._rng, self._n, self._k
         if self._state != -1 and (self._next == len(self._swaps) or rng._state != self._state):
-            words = SplitMix64(rng._state).u64_block(self._size * k).reshape(self._size, k)
+            words = SplitMix64(rng._state).u64_block(self._BLOCK * k).reshape(self._BLOCK, k)
             ok = (words <= self._tops).all(axis=1)
-            words = words[:self._size if ok.all() else int(ok.argmin())] % self._bounds
+            words = words[:self._BLOCK if ok.all() else int(ok.argmin())] % self._bounds
             self._swaps = (words + np.arange(k, dtype=np.uint64)).tolist()
-            self._next, self._size = 0, min(2 * self._size, 512)
+            self._next = 0
         if self._next < len(self._swaps):
             swaps, self._next = self._swaps[self._next], self._next + 1
             rng._state = (rng._state + k * _GOLDEN) & _MASK64

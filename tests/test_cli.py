@@ -454,10 +454,11 @@ def test_malformed_list_or_path_config_value_exits_2(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command, overrides, width, table, untouched", [
     # 33 deep columns: 32 pooled channels and the fallback flag
     ("train", {"max_features": 64}, 33, "features_deep.csv", "rf_deep.model.json"),
+    ("train", {"max_features": "64"}, 33, "features_deep.csv", "rf_deep.model.json"),
     ("eval", {"max_features": 20, "rfe_target": 16}, 16,
      "features_radiomics.csv after rfe_target 16", "per_seed.csv"),
     ("ablate", {"max_features": 5}, 4, "stage PE of", "ablation.csv"),
-], ids=["train", "eval-after-rfe", "ablate-stage"])
+], ids=["train", "train-string-count", "eval-after-rfe", "ablate-stage"])
 def test_max_features_wider_than_a_table_exits_2(finished_run, tmp_path, capsys, command,
                                                  overrides, width, table, untouched):
     run = tmp_path / "run"
@@ -474,6 +475,15 @@ def test_max_features_wider_than_a_table_exits_2(finished_run, tmp_path, capsys,
     assert table in last
     # refused before any fit: nothing was written
     assert (artifact.read_bytes() if artifact.exists() else None) == before
+
+
+def test_max_features_as_a_numeric_string_still_fits(finished_run, tmp_path):
+    # RFParams takes any count that int() reads, and the width check reads it so
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    cfg = write_config(run, forest={"n_trees": 6, "max_depth": 5, "max_features": "4"})
+    for command in ("train", "eval", "ablate"):  # stage PE has exactly 4 columns
+        assert main([command, "--config", str(cfg)]) == 0
 
 
 def test_negative_explain_limit_exits_2(tmp_path, capsys):

@@ -334,6 +334,16 @@ def test_fit_tree_rejects_ranks_of_another_shape():
         fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(0), ranks=rank_keys(X[:, :1], y))
 
 
+@pytest.mark.parametrize("sums", [class_sums((1.0, 2.0), 2), class_sums((2.0, 1.0), 2),
+                                  class_sums((1.0, 1.0), 1)],
+                         ids=["other-w1", "other-w0", "too-short"])
+def test_fit_tree_rejects_sums_of_other_weights_or_fewer_rows(sums):
+    X = np.array([[0.0], [1.0]])
+    y = np.array([0, 1])
+    with pytest.raises(ValueError, match="sums"):
+        fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(0), sums=sums)
+
+
 @pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.0), (-1.0, 1.0), (1.0, np.inf),
                                      (np.nan, 1.0), np.ones(3)])
 def test_fit_tree_rejects_class_weights_that_are_not_two_positive_numbers(weights):

@@ -133,7 +133,7 @@ def test_sample_indices_equals_scalar_fisher_yates(seed, n, draws, data):
     a = SplitMix64(seed)
     b = SplitMix64(seed)
     subsets = IndexSubsets(a, n, k)
-    for _ in range(draws):  # one scalar draw, a block of 16, then one of 32
+    for _ in range(draws):  # one scalar draw, then blocks of 16 draws
         assert subsets.draw() == scalar_sample_indices(b, n, k)
         assert a._state == b._state
 
