@@ -30,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DataError
-from .rng import IndexSubsets, SplitMix64, derive
+from .rng import IndexSubsets, SplitMix64, derive, derive_block, tree_streams
 
 MODEL_FORMAT = "oodscan-forest-v1"
 
@@ -160,6 +160,11 @@ def class_sums(class_weights: tuple[float, float], n: int) -> np.ndarray:
     return ((np.arange(n + 1) > 0) * w).cumsum(axis=1)
 
 
+def weight_rows(y: np.ndarray, class_weights) -> np.ndarray:
+    """(2, n): row c holds w_c where ``y`` is c, else 0.0."""
+    return (y == np.arange(2)[:, None]) * np.asarray(class_weights, dtype=np.float64)[:, None]
+
+
 def _best_split(K, sums, W, parent_impurity):
     """Best (decrease, column, rank_a, rank_b) over the rows of ``K``, or None.
 
@@ -199,17 +204,22 @@ def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
              params: RFParams, rng: SplitMix64, *,
              ranks: tuple[np.ndarray, list[np.ndarray]] | None = None,
              sums: np.ndarray | None = None,
-             rows: np.ndarray | None = None) -> TreeNode:
+             rows: np.ndarray | None = None,
+             row_weights: np.ndarray | None = None,
+             subsets: IndexSubsets | None = None) -> TreeNode:
     """Grow one CART tree; feature subsets come from ``rng`` depth-first,
     left child first. Each row weighs ``class_weights[y]``.
 
-    ``ranks`` are ``rank_keys(X, y)`` and ``sums`` ``class_sums`` of
-    ``class_weights`` over at least the tree's row count, by default
-    computed here. ``rows`` grows the tree on the rows ``X[rows]`` (with
-    repeats, in that order) without copying them; the caller has then
-    checked that ``X`` is finite, as ``fit_forest`` does. A node's class
-    weights are ``np.add.reduce`` of its rows' weights: a pairwise sum,
-    which depends on where each row sits.
+    ``ranks`` are ``rank_keys(X, y)``, ``sums`` ``class_sums`` of
+    ``class_weights`` over at least the tree's row count, ``row_weights``
+    ``weight_rows(y, class_weights)`` and ``subsets`` ``IndexSubsets(rng,
+    d, max_features)``, by default made here; ``fit_forest`` makes them
+    once per forest, or per tree with the first draw made ahead. ``rows``
+    grows the tree on the rows ``X[rows]`` (with repeats, in that order)
+    without copying them; the caller has then checked that ``X`` is
+    finite, as ``fit_forest`` does. A node's class weights are
+    ``np.add.reduce`` of its rows' weights: a pairwise sum, which depends
+    on where each row sits.
 
     A threshold is the midpoint of the cut's two values, or the lower one
     when the midpoint is not below the upper. The value table keeps one
@@ -238,9 +248,13 @@ def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
     sums = class_sums(weights, rows.size) if sums is None else sums
     if sums.shape[1] <= rows.size or sums[:, 1].tolist() != weights.tolist():
         raise ValueError("sums must be the class_sums of class_weights over the rows")
-    d = X.shape[1]
-    subsets = IndexSubsets(rng, d, params.resolve_max_features(d))
-    row_weights = (y == np.arange(2)[:, None]) * weights[:, None]  # (2, N): w_c or 0.0
+    d, m = X.shape[1], params.resolve_max_features(X.shape[1])
+    subsets = IndexSubsets(rng, d, m) if subsets is None else subsets
+    if subsets.rng is not rng or (subsets.n, subsets.k) != (d, m):
+        raise ValueError(f"subsets must draw {m} of {d} features from rng")
+    row_weights = weight_rows(y, weights) if row_weights is None else row_weights
+    if row_weights.shape != (2, X.shape[0]):
+        raise ValueError("row_weights must be the (2, n) row weights of y")
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         W = np.add.reduce(row_weights.take(idx, axis=1), axis=1)  # row by row, as 1-D
@@ -282,8 +296,10 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
                feature_names: tuple[str, ...] | None = None) -> Forest:
     """Bootstrap + balanced-weight ensemble, deterministic in ``seed``.
 
-    Finiteness is checked and the rank keys, value tables and class sums
-    are computed once here; each tree indexes them at its bootstrap rows.
+    Finiteness is checked and the rank keys, value tables, class sums and
+    row weights are computed once here; each tree indexes them at its
+    bootstrap rows. The trees' seeds, bootstraps and first feature subsets
+    are drawn in blocks of many trees (``rng.tree_streams``).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -296,12 +312,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
     if len(feature_names) != d:
         raise ValueError("feature_names length must match feature count")
 
-    ranks, sums = rank_keys(X, y), class_sums(weights, n)
-    trees = []
-    for t in range(params.n_trees):
-        rng = SplitMix64(derive(seed, "tree", t))
-        bidx = rng.randrange_block(n, n)
-        trees.append(fit_tree(X, y, weights, params, rng, ranks=ranks, sums=sums, rows=bidx))
+    ranks, sums, row_weights = rank_keys(X, y), class_sums(weights, n), weight_rows(y, weights)
+    seeds = derive_block(derive(seed, "tree"), np.arange(params.n_trees))
+    trees = [fit_tree(X, y, weights, params, subsets.rng, ranks=ranks, sums=sums, rows=rows,
+                      row_weights=row_weights, subsets=subsets)
+             for rows, subsets in tree_streams(seeds, n, d, params.resolve_max_features(d))]
     return Forest(trees=trees, n_features=d, feature_names=tuple(feature_names),
                   seed=seed, params=params)
 

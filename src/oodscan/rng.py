@@ -29,8 +29,14 @@ _FNV_PRIME = 0x100000001B3
 _INV53 = 1.0 / 9007199254740992.0
 
 # numpy scalars for the block path, built once: each call then does array work only
-_U64_GOLDEN, _U64_MIX1, _U64_MIX2 = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
+_U64_GOLDEN, _U64_MIX1, _U64_MIX2, _U64_FNV_PRIME = (
+    np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, _FNV_PRIME))
 _U64_27, _U64_30, _U64_31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+# Words drawn at once by ``tree_streams``: (streams, n + k) blocks of at most this
+# many. A 200-tree fit on 1,440 x 129 features peaked at 1.45 MB with 1 << 13
+# (1.38 MB drawing tree by tree) and at 2.47 MB with 1 << 16, no faster.
+_SETUP_WORDS = 1 << 13
 
 
 def mix64(z: int) -> int:
@@ -39,6 +45,16 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_block(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every word of the uint64 array ``z``, in place."""
+    z ^= z >> _U64_30
+    z *= _U64_MIX1
+    z ^= z >> _U64_27
+    z *= _U64_MIX2
+    z ^= z >> _U64_31
+    return z
 
 
 def _fnv1a(data: bytes) -> int:
@@ -69,6 +85,16 @@ def derive(seed: int, *parts: int | str) -> int:
     return h
 
 
+def derive_block(seed: int, parts) -> np.ndarray:
+    """``derive(seed, t)`` for every integer ``t`` of ``parts``, as uint64:
+    FNV-1a over each ``t``'s 8 little-endian bytes, all at once."""
+    t = np.array(parts, dtype=np.uint64)
+    h = np.full(t.shape, _FNV_OFFSET, dtype=np.uint64)
+    for shift in range(0, 64, 8):
+        h = (h ^ (t >> np.uint64(shift)) & np.uint64(0xFF)) * _U64_FNV_PRIME
+    return _mix_block(h ^ np.uint64(seed & _MASK64))
+
+
 class SplitMix64:
     """A single deterministic random stream.
 
@@ -90,12 +116,7 @@ class SplitMix64:
         z *= _U64_GOLDEN
         z += np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        z ^= z >> _U64_30
-        z *= _U64_MIX1
-        z ^= z >> _U64_27
-        z *= _U64_MIX2
-        z ^= z >> _U64_31
-        return z
+        return _mix_block(z)
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -176,27 +197,35 @@ class IndexSubsets:
     """Successive draws of ``k`` distinct indices from range(n) out of ``rng``:
     partial Fisher-Yates, step i swapping in ``i + rng.randrange(n - i)``.
 
-    The first draw runs scalar, sparing a one-split tree a block; later ones
-    come from words drawn ahead in blocks of ``_BLOCK`` whole draws, up to
-    the first draw with a word the scalar rule rejects, which runs scalar.
-    Each draw leaves ``rng`` where scalar draws leave it and first checks
-    that it is still there, else drops the words drawn ahead.
+    Draws come from words drawn ahead: the first draw's swaps ``first``
+    when given, then blocks of ``_BLOCK`` whole draws, up to the first draw
+    with a word the scalar rule rejects, which runs scalar. Each draw
+    leaves ``rng`` where scalar draws leave it and first checks that it is
+    still there, else drops the words drawn ahead. ``limits`` are
+    ``IndexSubsets.limits(n, k)``, which subsets of one size can share.
     """
 
     _BLOCK = 16  # a tree draws once per split; one block holds 99 % of `hard`'s trees
 
-    def __init__(self, rng: SplitMix64, n: int, k: int):
+    def __init__(self, rng: SplitMix64, n: int, k: int, *,
+                 first: list[int] | None = None, limits: tuple | None = None):
+        self.rng, self.n, self.k = rng, n, k
+        self._bounds, self._tops = limits or self.limits(n, k)
+        self._swaps, self._next, self._state = [] if first is None else [first], 0, rng._state
+
+    @staticmethod
+    def limits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bounds ``n - i`` of the k steps and the largest word each keeps:
+        randrange(b) takes the words below 2**64 - 2**64 % b."""
         if not 0 <= k <= n:
             raise ValueError("IndexSubsets needs 0 <= k <= n")
-        self._rng, self._n, self._k = rng, n, k
-        bounds = range(n, n - k, -1)  # randrange(b) takes the words below 2**64 - 2**64 % b
-        self._bounds = np.array(bounds, dtype=np.uint64)
-        self._tops = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
-        self._swaps, self._next, self._state = [], 0, -1
+        bounds = range(n, n - k, -1)
+        return (np.array(bounds, dtype=np.uint64),
+                np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64))
 
     def draw(self) -> list[int]:
-        rng, n, k = self._rng, self._n, self._k
-        if self._state != -1 and (self._next == len(self._swaps) or rng._state != self._state):
+        rng, n, k = self.rng, self.n, self.k
+        if self._next == len(self._swaps) or rng._state != self._state:
             words = SplitMix64(rng._state).u64_block(self._BLOCK * k).reshape(self._BLOCK, k)
             ok = (words <= self._tops).all(axis=1)
             words = words[:self._BLOCK if ok.all() else int(ok.argmin())] % self._bounds
@@ -205,10 +234,33 @@ class IndexSubsets:
         if self._next < len(self._swaps):
             swaps, self._next = self._swaps[self._next], self._next + 1
             rng._state = (rng._state + k * _GOLDEN) & _MASK64
-        else:  # the first draw, or a block's first draw holds a rejected word
+        else:  # a block's first draw holds a rejected word
             swaps = [i + rng.randrange(n - i) for i in range(k)]
         self._state = rng._state
         pool = list(range(n))
         for i, j in enumerate(swaps):
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+def tree_streams(seeds: np.ndarray, n: int, d: int, k: int):
+    """Per seed, what ``rng = SplitMix64(seed)`` gives scalar: the intp rows
+    ``rng.randrange_block(n, n)``, then ``IndexSubsets(rng, d, k)``. Words
+    1..n (the rows) and n+1..n+k (the first draw) of a chunk of streams are
+    one array, as word j is ``mix64(seed + j * GOLDEN)``; a stream with a
+    word the scalar rule rejects draws that part, and all after it, scalar.
+    """
+    limits = bounds, tops = IndexSubsets.limits(d, k)
+    top = np.uint64(_MASK64 - (1 << 64) % n)  # the largest word randrange(n) keeps
+    steps = np.arange(1, n + k + 1, dtype=np.uint64) * _U64_GOLDEN
+    chunk = max(1, _SETUP_WORDS // (n + k))
+    for lo in range(0, len(seeds), chunk):
+        words = _mix_block(np.add.outer(seeds[lo:lo + chunk], steps))
+        rows_ok = (words[:, :n] <= top).all(axis=1)
+        first_ok = (rows_ok & (words[:, n:] <= tops).all(axis=1)).tolist()
+        first = (words[:, n:] % bounds + np.arange(k, dtype=np.uint64)).tolist()
+        rows = np.remainder(words[:, :n], np.uint64(n), out=words[:, :n]).view(np.intp)
+        for i, (seed, ok) in enumerate(zip(seeds[lo:lo + chunk].tolist(), rows_ok.tolist())):
+            rng = SplitMix64(seed + n * _GOLDEN if ok else seed)  # past the rows' n words
+            yield (rows[i] if ok else rng.randrange_block(n, n).astype(np.intp),
+                   IndexSubsets(rng, d, k, first=first[i] if first_ok[i] else None, limits=limits))

@@ -25,7 +25,8 @@ from oodscan.forest import (
     _best_split,
     _impurity,
 )
-from oodscan.rng import SplitMix64, derive
+from oodscan import forest as forest_module, rng as rng_module
+from oodscan.rng import IndexSubsets, SplitMix64, derive
 
 from oracles import (
     argsort_best_split,
@@ -34,6 +35,7 @@ from oracles import (
     per_feature_best_split,
     per_tree_predict_proba,
     post_order_mdi,
+    seed_whose_draw_is,
     tree_nodes,
 )
 
@@ -344,6 +346,18 @@ def test_fit_tree_rejects_sums_of_other_weights_or_fewer_rows(sums):
         fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(0), sums=sums)
 
 
+def test_fit_tree_rejects_subsets_of_another_stream_or_size_and_other_row_weights():
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([0, 1])
+    rng = SplitMix64(0)
+    for subsets in (IndexSubsets(SplitMix64(0), 2, 1), IndexSubsets(rng, 2, 2),
+                    IndexSubsets(rng, 3, 1)):
+        with pytest.raises(ValueError, match="subsets"):
+            fit_tree(X, y, (1.0, 1.0), RFParams(max_features=1), rng, subsets=subsets)
+    with pytest.raises(ValueError, match="row_weights"):
+        fit_tree(X, y, (1.0, 1.0), RFParams(), rng, row_weights=np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.0), (-1.0, 1.0), (1.0, np.inf),
                                      (np.nan, 1.0), np.ones(3)])
 def test_fit_tree_rejects_class_weights_that_are_not_two_positive_numbers(weights):
@@ -407,6 +421,66 @@ def test_single_tree_forest_reduces_to_bootstrap_tree():
     probe = gaussian_blobs(n=30, seed=8)[0]
     assert np.array_equal(predict_proba_batch(forest, probe),
                           predict_proba_batch(manual, probe))
+
+
+def scalar_forest(X, y, params, seeds):
+    """The forest grown tree by tree from the tree seeds ``seeds``: scalar
+    ``randrange`` bootstraps, copied rows, every subset drawn scalar first."""
+    weights = balanced_weights(y)
+    trees = []
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        bidx = np.array([rng.randrange(len(X)) for _ in range(len(X))])
+        trees.append(fit_tree(X[bidx], y[bidx], weights, params, rng))
+    return Forest(trees=trees, n_features=X.shape[1], feature_names=(), seed=0, params=params)
+
+
+def assert_same_tables(got, want):
+    for name in ("feature", "threshold", "left", "right", "dist", "cover", "roots"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("words", [1, 300, 1 << 13])
+def test_forest_is_bit_equal_to_scalar_trees_over_any_chunking(monkeypatch, words):
+    # 40 rows and 3 of 11 columns: 43 words per tree, so 1, 6 or all 13 trees
+    # a chunk
+    monkeypatch.setattr(rng_module, "_SETUP_WORDS", words)
+    X, y = gaussian_blobs(n=40, separation=1.0, d=11)
+    params = RFParams(n_trees=13, max_depth=4, max_features=3)
+    want = scalar_forest(X, y, params, [derive(5, "tree", t) for t in range(13)])
+    assert_same_tables(fit_forest(X, y, params, seed=5), want)
+
+
+def test_forest_falls_back_to_scalar_trees_on_rejected_words(monkeypatch):
+    # words 0..39 of a tree's stream are its rows and 40..42 its first draw
+    # of 3 of 11 columns; 40, 11, 10 and 9 are no powers of two
+    seeds = [seed_whose_draw_is(2**64 - 1, step) for step in (0, 39, 40, 41, 42, 43, 60)]
+    monkeypatch.setattr(forest_module, "derive_block", lambda seed, ts: np.array(seeds, np.uint64))
+    X, y = gaussian_blobs(n=40, separation=1.0, d=11)
+    params = RFParams(n_trees=len(seeds), max_depth=4, max_features=3)
+    assert_same_tables(fit_forest(X, y, params, seed=5), scalar_forest(X, y, params, seeds))
+
+
+def test_node_class_weights_are_pairwise_sums_of_the_bootstrap_rows():
+    # weights 60 / 70 and 60 / 50: a node's class weights summed row after
+    # row differ from numpy's pairwise sum, which the trees must keep
+    X, y = gaussian_blobs(n=60, separation=0.5)
+    y = (np.arange(60) % 12 < 5).astype(int)
+    weights = balanced_weights(y)
+    forest = fit_forest(X, y, RFParams(n_trees=8, max_depth=3), seed=2)
+    differ = 0
+    for t, root in enumerate(forest.roots.tolist()):
+        bidx = SplitMix64(derive(2, "tree", t)).randrange_block(60, 60)
+        rows = [np.where(y[bidx] == c, weights[c], 0.0) for c in (0, 1)]
+        pairwise = [float(np.add.reduce(r)) for r in rows]
+        sequential = [float(np.cumsum(r)[-1]) for r in rows]
+        total = pairwise[0] + pairwise[1]
+        assert forest.cover[root] == total
+        assert forest.dist[root].tolist() == [pairwise[0] / total, pairwise[1] / total]
+        seq_total = sequential[0] + sequential[1]
+        differ += (seq_total, sequential[0] / seq_total) != (total, pairwise[0] / total)
+    assert differ
 
 
 def test_same_seed_identical_forests():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodscan.rng import IndexSubsets, SplitMix64, derive, mix64
+from oodscan import rng as rng_module
+from oodscan.rng import IndexSubsets, SplitMix64, derive, derive_block, mix64, tree_streams
 
 from oracles import scalar_sample_indices, seed_whose_draw_is, splitmix64_reference
 
@@ -133,15 +134,15 @@ def test_sample_indices_equals_scalar_fisher_yates(seed, n, draws, data):
     a = SplitMix64(seed)
     b = SplitMix64(seed)
     subsets = IndexSubsets(a, n, k)
-    for _ in range(draws):  # one scalar draw, then blocks of 16 draws
+    for _ in range(draws):  # blocks of 16 draws
         assert subsets.draw() == scalar_sample_indices(b, n, k)
         assert a._state == b._state
 
 
 @pytest.mark.parametrize("step", [0, 3, 10, 11, 40, 200])
 def test_sample_indices_falls_back_to_scalar_on_a_rejected_word(step):
-    # word ``step`` is in draw step // 11 (draw 0 runs scalar, draw 1 opens
-    # the first block and draw 18 sits inside the second); it is rejected,
+    # word ``step`` is in draw step // 11 (draw 0 opens the first block and
+    # draw 18 sits inside the second); it is rejected,
     # as 129 - step % 11 is no power of two, and every later word moves on
     seed = seed_whose_draw_is(2**64 - 1, step)
     a = SplitMix64(seed)
@@ -167,6 +168,22 @@ def test_subsets_drop_their_words_when_the_stream_moves(seed, calls):
         assert a._state == b._state
 
 
+@given(SEEDS, st.sampled_from(["none", "next_u64", "randrange"]))
+def test_subsets_drawn_ahead_drop_the_first_draw_when_the_stream_moves(seed, call):
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    # randrange(30 - i) rejects a word with odds below 2**-59
+    first = [i + w % (30 - i) for i, w in enumerate(SplitMix64(seed).u64_block(4).tolist())]
+    subsets = IndexSubsets(a, 30, 4, first=first, limits=IndexSubsets.limits(30, 4))
+    if call == "next_u64":
+        assert a.next_u64() == b.next_u64()
+    elif call == "randrange":
+        assert a.randrange(7) == b.randrange(7)
+    for _ in range(3):
+        assert subsets.draw() == scalar_sample_indices(b, 30, 4)
+        assert a._state == b._state
+
+
 def test_sample_indices_distinct():
     subsets = IndexSubsets(SplitMix64(8), 12, 5)
     for _ in range(50):
@@ -179,6 +196,55 @@ def test_subsets_reject_k_outside_range():
     for n, k in ((3, 4), (3, -1)):
         with pytest.raises(ValueError):
             IndexSubsets(SplitMix64(0), n, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4242, 2**63, 2**64 - 1])
+def test_derive_block_equals_derive_across_byte_boundaries(seed):
+    ts = [0, 1, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    base = derive(seed, "tree")
+    got = derive_block(base, ts)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive(seed, "tree", t) for t in ts]
+    assert derive_block(base, np.arange(300)).tolist() == [derive(base, t) for t in range(300)]
+
+
+def assert_scalar_streams(seeds, n, d, k, draws=3):
+    """``tree_streams`` gives, per seed, the rows and subset draws of one
+    scalar stream: ``randrange_block(n, n)`` and scalar Fisher-Yates."""
+    streams = list(tree_streams(np.array(seeds, dtype=np.uint64), n, d, k))
+    assert len(streams) == len(seeds)
+    for seed, (rows, subsets) in zip(seeds, streams):
+        b = SplitMix64(seed)
+        assert rows.dtype == np.intp
+        assert rows.tolist() == b.randrange_block(n, n).tolist()
+        assert subsets.rng._state == b._state
+        for _ in range(draws):
+            assert subsets.draw() == scalar_sample_indices(b, d, k)
+            assert subsets.rng._state == b._state
+
+
+@given(st.lists(SEEDS, min_size=1, max_size=12), st.integers(1, 300), st.integers(1, 40),
+       st.data())
+def test_tree_streams_equal_randrange_block_and_scalar_subsets(seeds, n, d, data):
+    assert_scalar_streams(seeds, n, d, data.draw(st.integers(0, d)))
+
+
+# n = 40 rows and 11 of d = 129 features: word ``step`` (0-based) of a
+# stream is rejected by randrange(40) for step < 40, and by the first
+# draw's randrange(129 - i) for step 40 + i; 129 - i is no power of two
+@pytest.mark.parametrize("step", [0, 17, 39, 40, 45, 50, 51, 80])
+def test_tree_streams_fall_back_to_scalar_on_a_rejected_word(step):
+    seed = seed_whose_draw_is(2**64 - 1, step)
+    assert_scalar_streams([1, seed, 2, seed, 3], 40, 129, 11, draws=6)
+
+
+@pytest.mark.parametrize("words", [1, 61, 102, 153, 1 << 13])
+def test_tree_streams_over_several_chunks(monkeypatch, words):
+    # 51 words per stream: a chunk holds 1 (also when one stream exceeds
+    # the budget), 1, 2, 3 or all 7 streams
+    monkeypatch.setattr(rng_module, "_SETUP_WORDS", words)
+    seeds = [derive(9, "tree", t) for t in range(6)] + [seed_whose_draw_is(2**64 - 1, 3)]
+    assert_scalar_streams(seeds, 40, 30, 11)
 
 
 def test_derive_is_stable_and_sensitive():
