@@ -2,7 +2,8 @@
 
 Every artifact except the OVF tensors is written in full to ``<name>.tmp``
 and then renamed over ``<name>`` with ``os.replace``, so a stage that dies
-mid-write leaves the previous file or none, never a torn one.
+mid-write leaves the previous file or none, never a torn one. Text
+artifacts are UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from pathlib import Path
 
 @contextmanager
 def atomic_open(path, newline: str | None = None):
-    """Open ``<path>.tmp`` for text writing; replace ``path`` with it once
-    the block ends without error, and delete it otherwise."""
+    """Open ``<path>.tmp`` for UTF-8 text writing; replace ``path`` with it
+    once the block ends without error, and delete it otherwise."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .manifest import CohortManifest, ScanRecord, save_manifest
+from .manifest import CohortManifest, ScanRecord, is_file_stem, save_manifest
 from .ovf import write_ovf
 from .rng import SplitMix64, derive
 from .volumes import Grid
@@ -46,6 +46,9 @@ class CohortSpec:
     logit_miscalibration: float = 0.0
 
     def __post_init__(self):
+        if not is_file_stem(self.cohort_name):
+            raise ConfigError(f"cohort {self.cohort_name!r}: a cohort_name must be a plain "
+                              "file-name stem (no '/', '\\' or NUL, not starting with '.')")
         if self.cohort_label not in ("ID", "OOD"):
             raise ConfigError(f"cohort {self.cohort_name!r}: label must be ID or OOD")
         if self.n_scans < 1:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -76,8 +78,9 @@ class TreeNode:
         return self.feature < 0
 
 
-def _add_preorder(node: TreeNode, cols: tuple[list, ...]) -> int:
-    """Append the subtree of ``node`` to the columns ``cols`` in preorder."""
+def _add_preorder(node: TreeNode, cols: tuple[list, ...], base: int) -> int:
+    """Append the subtree of ``node`` to the columns ``cols`` in preorder;
+    ``left`` and ``right`` count from ``base``, the returned position not."""
     feature, threshold, left, right, dist, cover = cols
     i = len(feature)
     feature.append(node.feature)
@@ -87,8 +90,8 @@ def _add_preorder(node: TreeNode, cols: tuple[list, ...]) -> int:
     dist += node.dist
     cover.append(node.cover)
     if node.feature >= 0:
-        left[i] = _add_preorder(node.left, cols)
-        right[i] = _add_preorder(node.right, cols)
+        left[i] = base + _add_preorder(node.left, cols, base)
+        right[i] = base + _add_preorder(node.right, cols, base)
     return i
 
 
@@ -97,25 +100,33 @@ class Forest:
     before, so a node's children come after it, and ``left``, ``right`` and
     ``roots`` index the whole table. ``feature`` is -1 at a leaf; every node
     keeps the class distribution ``dist`` (n, 2) and the training weight
-    ``cover`` of its rows. Built from the ``TreeNode``s ``trees``, which are
-    not kept.
+    ``cover`` of its rows. Built from the ``TreeNode``s ``trees``, any
+    iterable, each flattened into typed buffers as it arrives and not kept:
+    fed by a generator, only one tree's nodes are alive at a time.
     """
 
-    def __init__(self, trees: list[TreeNode], n_features: int,
+    def __init__(self, trees: Iterable[TreeNode], n_features: int,
                  feature_names: tuple[str, ...], seed: int, params: RFParams):
-        if not trees:
-            raise ValueError("a forest needs at least one tree")
         self.n_features = n_features
         self.feature_names = feature_names
         self.seed = seed
         self.params = params
-        cols: tuple[list, ...] = ([], [], [], [], [], [])
-        self.roots = np.array([_add_preorder(tree, cols) for tree in trees], dtype=np.int64)
-        feature, threshold, left, right, dist, cover = cols
-        self.feature, self.left, self.right = (np.array(a, dtype=np.int64)
-                                               for a in (feature, left, right))
-        self.threshold, self.cover = (np.array(a, dtype=np.float64) for a in (threshold, cover))
-        self.dist = np.array(dist, dtype=np.float64).reshape(-1, 2)
+        table = tuple(array(code) for code in "qdqqdd")
+        roots = array("q")
+        for tree in trees:
+            # one tree in lists, which append faster than arrays
+            cols: tuple[list, ...] = ([], [], [], [], [], [])
+            roots.append(len(table[0]))
+            _add_preorder(tree, cols, roots[-1])
+            for column, values in zip(table, cols):
+                column.fromlist(values)
+            del tree, cols  # before the next tree is made
+        if not roots:
+            raise ValueError("a forest needs at least one tree")
+        self.roots, self.feature, self.threshold, self.left, self.right, dist, self.cover = (
+            np.frombuffer(a, dtype=np.int64 if a.typecode == "q" else np.float64)
+            for a in (roots, *table))
+        self.dist = dist.reshape(-1, 2)
         self._shap_plan = None
 
 
@@ -314,9 +325,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
 
     ranks, sums, row_weights = rank_keys(X, y), class_sums(weights, n), weight_rows(y, weights)
     seeds = derive_block(derive(seed, "tree"), np.arange(params.n_trees))
-    trees = [fit_tree(X, y, weights, params, subsets.rng, ranks=ranks, sums=sums, rows=rows,
+    trees = (fit_tree(X, y, weights, params, subsets.rng, ranks=ranks, sums=sums, rows=rows,
                       row_weights=row_weights, subsets=subsets)
-             for rows, subsets in tree_streams(seeds, n, d, params.resolve_max_features(d))]
+             for rows, subsets in tree_streams(seeds, n, d, params.resolve_max_features(d)))
     return Forest(trees=trees, n_features=d, feature_names=tuple(feature_names),
                   seed=seed, params=params)
 
@@ -482,10 +493,16 @@ def load_model(path) -> Forest:
         if not isinstance(names, list) or len(names) != n_features \
                 or not all(isinstance(name, str) for name in names):
             raise ValueError(f"feature_names is not {n_features} names")
-        if not isinstance(doc["trees"], list) or not doc["trees"]:
+        docs = doc["trees"]
+        if not isinstance(docs, list) or not docs:
             raise ValueError("the model has no trees")
-        trees = [_node_from_doc(t, n_features) for t in doc["trees"]]
-        return Forest(trees=trees, n_features=n_features, feature_names=tuple(names),
+
+        def trees():  # each tree's document is dropped once converted
+            for t in range(len(docs)):
+                tree, docs[t] = docs[t], None
+                yield _node_from_doc(tree, n_features)
+
+        return Forest(trees=trees(), n_features=n_features, feature_names=tuple(names),
                       seed=doc["seed"], params=params)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model {path} is malformed: "

@@ -22,6 +22,13 @@ from .volumes import STAGE_IDS, FeaturePyramid, Grid
 COHORT_LABELS = ("ID", "OOD")
 
 
+def is_file_stem(name) -> bool:
+    """Whether ``name`` can start a file name in the work dir and stay in it:
+    a non-empty string without ``/``, ``\\`` or NUL, not starting with ``.``."""
+    return isinstance(name, str) and name[:1] not in ("", ".") \
+        and not any(c in name for c in "/\\\0")
+
+
 @dataclass(frozen=True)
 class ScanRecord:
     scan_id: str
@@ -75,6 +82,8 @@ def load_manifest(path) -> CohortManifest:
         if sid in seen_ids:
             raise DataError(f"manifest {path}: duplicate scan_id {sid!r}")
         seen_ids.add(sid)
+        if not is_file_stem(sid):
+            raise DataError(f"scan {sid!r}: a scan_id must be a plain file-name stem")
         label = entry.get("cohort_label")
         if label not in COHORT_LABELS:
             raise DataError(f"scan {sid!r}: unknown cohort_label {label!r}")

@@ -358,7 +358,7 @@ def _stamp_path(cfg: RunConfig, stage: Stage) -> Path:
 def stamp_is_fresh(cfg: RunConfig, stage: Stage,
                    manifest: CohortManifest | None = None) -> bool:
     try:
-        doc = json.loads(_stamp_path(cfg, stage).read_text())
+        doc = json.loads(_stamp_path(cfg, stage).read_text(encoding="utf-8"))
         stamp, writes = _stamp(cfg, stage, manifest)
         return doc == stamp and all(p.exists() for p in writes)
     except (OSError, ValueError, DataError):
@@ -376,7 +376,7 @@ def run_stage(cfg: RunConfig, stage: Stage) -> None:
         stamp = _stamp(cfg, stage)[0]
     except Exception as exc:
         raise StageError(stage.name, exc) from exc
-    stamp_path.write_text(json.dumps(stamp, indent=2) + "\n")
+    stamp_path.write_text(json.dumps(stamp, indent=2) + "\n", encoding="utf-8")
 
 
 def run_pipeline(cfg: RunConfig, force: bool = False) -> list[str]:

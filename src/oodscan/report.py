@@ -30,7 +30,7 @@ def read_per_seed_csv(path) -> EvalReport:
     """Rebuild an EvalReport from a per-seed CSV (for `report`/`ablate` reuse)."""
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["seed", "method", "cohort", "auroc", "fpr95"]:

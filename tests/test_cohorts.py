@@ -1,3 +1,7 @@
+import importlib
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from oodscan.cohorts import CohortSpec, generate_scan, make_cohort
 from oodscan.errors import ConfigError
 
 from oracles import digital_ellipsoid_count
+from test_acceptance import ABLATION_CONFIG, SEPARABILITY_CONFIG
 
 
 def spec(**overrides) -> CohortSpec:
@@ -64,6 +69,26 @@ def test_spec_validation():
         spec(cohort_label="NEITHER")
     with pytest.raises(ConfigError, match="fit inside"):
         spec(blob_radius=(20.0, 20.0))
+
+
+
+@pytest.mark.parametrize("name", ["../outside", "sub/dir", "back\\slash", "nul\0", ".hidden",
+                                  "..", ""])
+def test_cohort_name_must_be_a_plain_file_stem(name):
+    with pytest.raises(ConfigError, match=re.escape(f"cohort {name!r}: a cohort_name must")):
+        spec(cohort_name=name)
+
+
+def test_shipped_cohort_names_are_file_stems(monkeypatch):
+    # the acceptance suite's and the benchmark's configurations, and the README's
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    docs = [c for cfg in (SEPARABILITY_CONFIG, ABLATION_CONFIG) for c in cfg["cohorts"]]
+    docs += [c for w in workloads.WORKLOADS.values() for c in w.config(0)["cohorts"]]
+    names = {CohortSpec.from_dict(c).cohort_name for c in docs}
+    names.add(spec(cohort_name="demo").cohort_name)
+    assert {"id_lung", "far_abdomen", "near_pe", "near_subtle", "sparse", "crowded",
+            "a", "b", "demo"} == names
 
 
 # --- cohort writing -------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -601,6 +603,40 @@ def test_node_table_holds_the_trees_in_preorder(trees):
     assert np.all(forest.left[split] > split) and np.all(forest.right[split] > split)
 
 
+@given(tree_lists())
+def test_forest_from_a_generator_equals_the_forest_from_its_list(trees):
+    def forest(source):
+        return Forest(trees=source, n_features=4, feature_names=("a", "b", "c", "d"),
+                      seed=0, params=RFParams(n_trees=len(trees)))
+
+    assert_same_tables(forest(tree for tree in trees), forest(trees))
+
+
+def test_forest_holds_one_generated_tree_at_a_time():
+    alive = []
+
+    def trees():
+        for t in range(4):
+            assert all(ref() is None for ref in alive), "an earlier tree is still alive"
+            tree = TreeNode(feature=0, threshold=float(t), cover=2.0, dist=(0.5, 0.5),
+                            left=TreeNode(dist=(1.0, 0.0), cover=1.0),
+                            right=TreeNode(dist=(0.0, 1.0), cover=1.0))
+            alive.append(weakref.ref(tree))
+            yield tree
+            del tree
+
+    forest = Forest(trees=trees(), n_features=1, feature_names=("f0",), seed=0,
+                    params=RFParams(n_trees=4))
+    assert forest.roots.tolist() == [0, 3, 6, 9]
+    assert forest.threshold[forest.roots].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("empty", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_forest_of_no_trees_is_rejected(empty):
+    with pytest.raises(ValueError, match="a forest needs at least one tree"):
+        Forest(trees=empty, n_features=1, feature_names=("f0",), seed=0, params=RFParams())
+
+
 @given(forests_and_rows())
 def test_stacked_prediction_is_bit_equal_to_per_tree_prediction(forest_rows):
     forest, X = forest_rows
@@ -761,6 +797,28 @@ def test_model_round_trip_bit_exact(tmp_path):
                           predict_proba_batch(back, probe))
     assert back.feature_names == forest.feature_names
     assert back.params == forest.params
+
+
+def test_load_model_peaks_no_higher_than_parsing_its_json(tmp_path):
+    # each tree's document is dropped once flattened: the node table grows
+    # as the parsed document shrinks (whole-document loading took 1.1 MB more)
+    X, y = gaussian_blobs(n=120, separation=1.0, d=6)
+    p = tmp_path / "model.json"
+    save_model(fit_forest(X, y, RFParams(n_trees=200, max_depth=20), seed=3), p)
+    tracemalloc.start()
+    try:
+        json.loads(p.read_bytes())
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        forest = load_model(p)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    table = sum(a.nbytes for a in (forest.roots, forest.feature, forest.threshold,
+                                   forest.left, forest.right, forest.dist, forest.cover))
+    assert forest.roots.size == 200 and forest.feature.size > 5000
+    assert load_peak <= parse_peak + table + 64 * 1024
 
 
 def _node_document(node):
