@@ -70,21 +70,6 @@ class CohortSpec:
         if self.logit_miscalibration < 0:
             raise ConfigError(f"cohort {self.cohort_name!r}: miscalibration must be >= 0")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "CohortSpec":
-        known = {f for f in CohortSpec.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown cohort spec keys: {sorted(extra)}")
-        try:
-            kwargs = dict(doc)
-            for key in ("dims", "spacing", "blob_count", "blob_radius"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return CohortSpec(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad cohort spec: {exc}") from exc
-
 
 def _paint_ellipsoid(mask: np.ndarray, center, radii) -> None:
     # Bounding box only; membership test ||(p - c) / r||_2 <= 1 on lattice points.

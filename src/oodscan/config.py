@@ -1,10 +1,12 @@
 """Run configuration: one JSON file drives the whole pipeline.
 
-The config hash covers every semantically meaningful field of the
-normalized configuration (defaults filled in, key order and whitespace
-irrelevant). The thread count (worker threads for gen and encode, which
-never changes outputs) and location fields (work_dir, manifest path) are
-excluded.
+One reader (``_section``) turns the JSON into the section dataclasses: each
+value must have the JSON kind its field declares and is kept as written, so
+an integer in a float field stays an integer. The config hash covers every
+semantically meaningful field of the normalized configuration (defaults
+filled in, key order and whitespace irrelevant). The thread count (worker
+threads for gen and encode, which never changes outputs) and location
+fields (work_dir, manifest path) are excluded.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ import dataclasses
 import functools
 import hashlib
 import json
+import reprlib
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .cohorts import CohortSpec
 from .encoder import ToyEncoderConfig
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .forest import RFParams
 from .volumes import STAGE_IDS
 
@@ -68,6 +73,19 @@ class RunConfig:
     ablate_stages: tuple[str, ...] = STAGE_IDS
     threads: int = 1
 
+    def __post_init__(self):
+        if self.temperature <= 0:
+            raise ConfigError("temperature must be > 0")
+        if self.rfe_target < 1:
+            raise ConfigError("rfe_target must be >= 1")
+        if self.rfe_step is not None and self.rfe_step < 1:
+            raise ConfigError("rfe_step must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if not self.ablate_stages or not set(self.ablate_stages) <= set(STAGE_IDS):
+            raise ConfigError(f"ablate_stages must be a non-empty list of {STAGE_IDS}, "
+                              f"got {list(self.ablate_stages)}")
+
     def canonical_dict(self) -> dict:
         """Semantic content only; drives the config hash."""
         doc = dataclasses.asdict(self)
@@ -85,141 +103,88 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _expect_dict(doc, key) -> dict:
-    sub = doc.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"config field {key!r} must be an object")
-    return sub
+_NOUNS = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _number(value, key: str, kind: type = int):
-    """``value`` as ``kind``: an int needs a JSON integer, a float any number."""
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config field {key!r} must be {noun}, got {value!r}")
-    return kind(value)
+def _value(kind, value, key: str):
+    """``value`` read as the declared type ``kind`` at config field ``key``: a
+    section dataclass from an object, a tuple from a list, and any other
+    value kept as written. An int is a number too, true/false never is."""
+    if dataclasses.is_dataclass(kind):
+        return _section(kind, value, key)
+    if typing.get_origin(kind) is tuple:
+        kinds = typing.get_args(kind)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config field {key!r} must be a list, got {reprlib.repr(value)}")
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ConfigError(f"config field {key!r} must hold {len(kinds)} values, "
+                              f"got {reprlib.repr(value)}")
+        return tuple(_value(k, v, f"{key}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    union = typing.get_origin(kind) in (typing.Union, types.UnionType)
+    arms = typing.get_args(kind) if union else (kind,)
+    if isinstance(value, bool) or \
+            not isinstance(value, tuple((int, float) if a is float else a for a in arms)):
+        raise ConfigError(f"config field {key!r} must be "
+                          f"{' or '.join(_NOUNS[a] for a in arms)}, got {reprlib.repr(value)}")
+    return value
 
 
-def _check_numbers(sections: dict) -> None:
-    """Reject a value of the wrong kind in the named config objects: a
-    non-integer in an ``int`` field (or an ``int | str`` one), and a tuple
-    field of the wrong length or with an element of the wrong kind."""
-    kinds = {"int": int, "float": float}
-    for section, obj in sections.items():
-        for f in dataclasses.fields(obj):
-            key, value = f"{section}.{f.name}", getattr(obj, f.name)
-            if f.type == "int" or (f.type == "int | str" and not isinstance(value, str)):
-                _number(value, key)
-            elif f.type.startswith("tuple["):
-                elements = f.type[len("tuple["):-1].split(", ")
-                if len(value) != len(elements):
-                    raise ConfigError(f"config field {key!r} must hold "
-                                      f"{len(elements)} values, got {list(value)!r}")
-                for i, (kind, v) in enumerate(zip(elements, value)):
-                    _number(v, f"{key}[{i}]", kinds[kind])
+def _section(cls, doc, key: str):
+    """The object ``doc`` read as the dataclass ``cls`` at config field ``key``
+    ("" for the whole config): only declared keys, each value read by
+    ``_value``. A ValueError of ``cls`` (RFParams raises those) becomes a
+    ConfigError naming ``key``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config field {key!r} must be an object, got {reprlib.repr(doc)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    at = f"{key}." if key else ""
+    extra = [at + name for name in sorted(set(doc) - set(fields))]
+    if extra:
+        raise ConfigError(f"unknown config keys: {extra}")
+    missing = [n for n, f in fields.items() if f.default is dataclasses.MISSING and n not in doc]
+    if missing:
+        raise ConfigError(f"config field {key!r} lacks {missing}")
+    kinds = _type_hints(cls)
+    values = {name: _value(kinds[name], value, at + name) for name, value in doc.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"config field {key!r}: {exc}") from exc
 
 
 def replace_cohorts(cfg: RunConfig, specs_path) -> RunConfig:
     """Swap in cohort specs from a standalone JSON array file."""
-    path = Path(specs_path)
-    try:
-        doc = json.loads(path.read_bytes())
-    except OSError as exc:
-        raise ConfigError(f"cannot read cohort specs {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"cohort specs {path} are not valid JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ConfigError(f"cohort specs {path} must be a JSON array")
-    cohorts = tuple(CohortSpec.from_dict(c) for c in doc)
-    _check_numbers({f"cohorts[{i}]": c for i, c in enumerate(cohorts)})
-    return dataclasses.replace(cfg, cohorts=cohorts)
+    doc = read_json(specs_path, "cohort specs", ConfigError)
+    return dataclasses.replace(cfg, cohorts=_value(tuple[CohortSpec, ...], doc, "cohorts"))
 
 
-def load_config(path, *, seed_override: int | None = None,
-                workdir_override=None, threads_override: int | None = None) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
+    """The config in the JSON file ``path``; ``overrides`` as for ``parse_config``."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_bytes())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "config", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return parse_config(doc, base_dir=path.parent, seed_override=seed_override,
-                        workdir_override=workdir_override,
-                        threads_override=threads_override)
+    return parse_config(doc, base_dir=path.parent, **overrides)
 
 
 def parse_config(doc: dict, *, base_dir=Path("."), seed_override: int | None = None,
                  workdir_override=None, threads_override: int | None = None) -> RunConfig:
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-
     for key in ("work_dir", "manifest"):
         if not isinstance(doc.get(key, ""), str):
             raise ConfigError(f"config field {key!r} must be a string, got {doc[key]!r}")
-    base_dir = Path(base_dir)
     work_dir = Path(workdir_override) if workdir_override else \
-        base_dir / doc.get("work_dir", "work")
+        Path(base_dir) / doc.get("work_dir", "work")
     # artifact paths are stored relative to the manifest, so the work dir
     # must be unambiguous regardless of the process's current directory
     work_dir = work_dir.resolve()
-    manifest = work_dir / doc.get("manifest", "manifest.json")
-
-    try:
-        cohorts = tuple(CohortSpec.from_dict(c) for c in doc.get("cohorts", []))
-        encoder = ToyEncoderConfig.from_dict(_expect_dict(doc, "encoder"))
-        crops_doc = _expect_dict(doc, "crops")
-        if "size" in crops_doc:
-            crops_doc = dict(crops_doc, size=tuple(crops_doc["size"]))
-        crops = CropConfig(**crops_doc)
-        forest = RFParams(**_expect_dict(doc, "forest"))
-        protocol = ProtocolConfig(**_expect_dict(doc, "protocol"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config structure: {exc}") from exc
-
-    _check_numbers({"encoder": encoder, "crops": crops, "forest": forest,
-                    "protocol": protocol,
-                    **{f"cohorts[{i}]": c for i, c in enumerate(cohorts)}})
-    if seed_override is not None:
-        protocol = dataclasses.replace(protocol, base_seed=seed_override)
-
-    ablate_stages = doc.get("ablate_stages", STAGE_IDS)
-    if not isinstance(ablate_stages, (list, tuple)) or not ablate_stages:
-        raise ConfigError("ablate_stages must be a non-empty list of stage ids")
-    for stage in ablate_stages:
-        if stage not in STAGE_IDS:
-            raise ConfigError(f"unknown ablation stage {stage!r}")
-
-    temperature = _number(doc.get("temperature", 1.0), "temperature", float)
-    if temperature <= 0:
-        raise ConfigError("temperature must be > 0")
-    rfe_target = _number(doc.get("rfe_target", 32), "rfe_target")
-    if rfe_target < 1:
-        raise ConfigError("rfe_target must be >= 1")
-    rfe_step = doc.get("rfe_step")
-    if rfe_step is not None and _number(rfe_step, "rfe_step") < 1:
-        raise ConfigError("rfe_step must be >= 1")
-    threads = threads_override if threads_override is not None \
-        else _number(doc.get("threads", 1), "threads")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-
-    return RunConfig(
-        work_dir=work_dir,
-        manifest=manifest,
-        cohorts=cohorts,
-        encoder=encoder,
-        crops=crops,
-        forest=forest,
-        temperature=temperature,
-        protocol=protocol,
-        rfe_target=rfe_target,
-        rfe_step=rfe_step,
-        ablate_stages=tuple(ablate_stages),
-        threads=threads,
-    )
+    doc = dict(doc, work_dir=work_dir, manifest=work_dir / doc.get("manifest", "manifest.json"))
+    if threads_override is not None:
+        doc["threads"] = threads_override
+    cfg = _section(RunConfig, doc, "")
+    if seed_override is None:
+        return cfg
+    return dataclasses.replace(
+        cfg, protocol=dataclasses.replace(cfg.protocol, base_seed=seed_override))

@@ -37,17 +37,6 @@ class ToyEncoderConfig:
         if any(b < a for a, b in zip(self.widths, self.widths[1:])):
             raise ConfigError("stage widths must be non-decreasing")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "ToyEncoderConfig":
-        known = set(ToyEncoderConfig.__dataclass_fields__)
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown encoder config keys: {sorted(extra)}")
-        kwargs = dict(doc)
-        if "widths" in kwargs:
-            kwargs["widths"] = tuple(kwargs["widths"])
-        return ToyEncoderConfig(**kwargs)
-
 
 def _pool_axis(arr: np.ndarray, axis: int, k: int) -> np.ndarray:
     """Average-pool one axis with window k; a trailing partial window is

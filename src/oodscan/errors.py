@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one JSON reader.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 anything else (including InternalError) -> 4.
 """
+
+import json
+from pathlib import Path
 
 
 class OodscanError(Exception):
@@ -19,3 +22,14 @@ class DataError(OodscanError):
 
 class InternalError(OodscanError):
     """A runtime invariant the package guarantees was violated."""
+
+
+def read_json(path, what: str, error: type[OodscanError]):
+    """The JSON document in the file ``path``. A file that cannot be read, or
+    is not UTF-8 JSON, raises ``error`` naming it as ``what``."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -26,12 +26,11 @@ import math
 from array import array
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import DataError
+from .errors import DataError, read_json
 from .rng import IndexSubsets, SplitMix64, derive, derive_block, tree_streams
 
 MODEL_FORMAT = "oodscan-forest-v1"
@@ -476,12 +475,7 @@ def load_model(path) -> Forest:
     [0, n_features), every threshold and class weight be a finite number,
     every node carry a positive finite cover, and there must be one name per
     feature and at least one tree."""
-    try:
-        doc = json.loads(Path(path).read_bytes())
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"model {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "model", DataError)
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise DataError(f"model {path}: unknown format {doc.get('format')!r}")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text_atomic
-from .errors import DataError
+from .errors import DataError, read_json
 from .ovf import read_ovf
 from .volumes import STAGE_IDS, FeaturePyramid, Grid
 
@@ -62,49 +62,45 @@ class CohortManifest:
 
 def load_manifest(path) -> CohortManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_bytes())
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
-
+    doc = read_json(path, "manifest", DataError)
     if not isinstance(doc, dict) or "dataset_name" not in doc or "records" not in doc:
         raise DataError(f"manifest {path} must carry dataset_name and records")
+    entries = doc["records"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError(f"manifest {path}: records must be a list of objects")
 
-    base = path.parent
+    base, where = path.parent, f"manifest {path}:"
     records = []
     seen_ids: set[str] = set()
-    for entry in doc["records"]:
+    for entry in entries:
         sid = entry.get("scan_id")
         if not sid or not isinstance(sid, str):
-            raise DataError(f"manifest {path}: record without scan_id")
+            raise DataError(f"{where} record without scan_id")
         if sid in seen_ids:
-            raise DataError(f"manifest {path}: duplicate scan_id {sid!r}")
+            raise DataError(f"{where} duplicate scan_id {sid!r}")
         seen_ids.add(sid)
         if not is_file_stem(sid):
-            raise DataError(f"scan {sid!r}: a scan_id must be a plain file-name stem")
+            raise DataError(f"{where} scan {sid!r}: a scan_id must be a plain file-name stem")
         label = entry.get("cohort_label")
         if label not in COHORT_LABELS:
-            raise DataError(f"scan {sid!r}: unknown cohort_label {label!r}")
+            raise DataError(f"{where} scan {sid!r}: unknown cohort_label {label!r}")
+        name = entry.get("cohort_name", label)
+        if not isinstance(name, str):
+            raise DataError(f"{where} scan {sid!r}: cohort_name {name!r} is not a string")
         pyramid = entry.get("pyramid")
-        if pyramid is not None:
-            if len(pyramid) != len(STAGE_IDS):
-                raise DataError(f"scan {sid!r}: pyramid must list {len(STAGE_IDS)} paths")
-            pyramid = tuple(base / p for p in pyramid)
+        if pyramid is not None and (not isinstance(pyramid, list)
+                                    or len(pyramid) != len(STAGE_IDS)):
+            raise DataError(f"{where} scan {sid!r}: pyramid must list {len(STAGE_IDS)} paths")
         try:
-            rec = ScanRecord(
-                scan_id=sid,
-                cohort_label=label,
-                cohort_name=entry.get("cohort_name", label),
-                volume=base / entry["volume"],
-                mask=base / entry["mask"],
-                logits=base / entry["logits"],
-                pyramid=pyramid,
-            )
+            paths = [entry[key] for key in ("volume", "mask", "logits")] + (pyramid or [])
         except KeyError as exc:
-            raise DataError(f"scan {sid!r}: missing artifact key {exc}") from exc
-        records.append(rec)
+            raise DataError(f"{where} scan {sid!r}: missing artifact key {exc}") from exc
+        if not all(isinstance(p, str) for p in paths):
+            raise DataError(f"{where} scan {sid!r}: artifact paths must be strings, "
+                            f"got {paths!r}")
+        volume, mask, logits, *stages = (base / p for p in paths)
+        records.append(ScanRecord(sid, label, name, volume, mask, logits,
+                                  tuple(stages) if pyramid is not None else None))
 
     return CohortManifest(
         dataset_name=doc["dataset_name"],

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import pytest
 
 from oodscan import pipeline, tables
 from oodscan.cli import build_parser, main
-from oodscan.config import load_config
+from oodscan.config import load_config, parse_config
 from oodscan.encoder import ToyEncoderConfig, toy_encode
 from oodscan.manifest import load_manifest
 from oodscan.ovf import read_ovf, write_ovf
@@ -174,6 +175,14 @@ def _raw_byte(offset: int | None, byte: int):
     return edit
 
 
+def _edit_manifest(edit):
+    def corrupt(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc, doc["records"][0])
+        return json.dumps(doc)
+    return corrupt
+
+
 @pytest.mark.parametrize("command, name, corrupt", [
     pytest.param("explain", "rf_deep.model.json", _drop_trees, id="model-without-trees"),
     pytest.param("explain", "rf_deep.model.json", _rename_first_feature,
@@ -199,6 +208,21 @@ def _raw_byte(offset: int | None, byte: int):
                  id="explain-labels-off-manifest"),
     pytest.param("explain", "rf_deep.model.json", _raw_byte(100, 0xBA), id="model-not-utf8"),
     pytest.param("train", "manifest.json", _raw_byte(None, 0xFF), id="manifest-not-utf8"),
+    pytest.param("encode", "manifest.json", _edit_manifest(lambda doc, rec: doc.update(records=3)),
+                 id="manifest-records-not-a-list"),
+    pytest.param("encode", "manifest.json",
+                 _edit_manifest(lambda doc, rec: doc.update(records=[3])),
+                 id="manifest-record-not-an-object"),
+    pytest.param("encode", "manifest.json", _edit_manifest(lambda doc, rec: rec.update(pyramid=3)),
+                 id="manifest-pyramid-not-a-list"),
+    pytest.param("encode", "manifest.json", _edit_manifest(lambda doc, rec: rec.update(volume=3)),
+                 id="manifest-volume-not-a-string"),
+    pytest.param("encode", "manifest.json",
+                 _edit_manifest(lambda doc, rec: rec["pyramid"].__setitem__(0, 1)),
+                 id="manifest-pyramid-entry-not-a-string"),
+    pytest.param("encode", "manifest.json",
+                 _edit_manifest(lambda doc, rec: rec.update(cohort_name=3)),
+                 id="manifest-cohort-name-not-a-string"),
 ])
 def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, capsys,
                                                       command, name, corrupt):
@@ -508,12 +532,31 @@ COHORT = {"cohort_name": "lung", "cohort_label": "ID", "n_scans": 4, "seed": 21,
     ("train", {"forest": {"n_trees": 6, "max_features": 2.5}}),
     ("train", {"forest": {"n_trees": 6, "max_features": True}}),
     ("gen", {"work_dir": 3}),
+    ("gen", {"cohorts": [dict(COHORT, texture_mean=True)]}),
+    ("gen", {"cohorts": [dict(COHORT, logit_miscalibration=True)]}),
+    ("gen", {"cohorts": {}}),
+    ("eval", {"protocol": []}),
+    ("ablate", {"ablate_stages": "PE"}),
+    ("train", {"forest": {"n_trees": 0}}),
+    ("train", {"forest": {"max_features": "abc"}}),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_malformed_list_or_path_config_value_exits_2(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "error stage=config ConfigError: ")
+
+
+@pytest.mark.parametrize("specs", [[3], {}, [{"cohort_name": "lung"}], [dict(COHORT, seed=True)]],
+                         ids=json.dumps)
+def test_malformed_cohorts_file_exits_2(tmp_path, capsys, specs):
+    (tmp_path / "cohorts.json").write_text(json.dumps(specs))
+    argv = ["gen", "--config", str(write_config(tmp_path)),
+            "--cohorts", str(tmp_path / "cohorts.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error stage=config ConfigError: ")
+    assert not (tmp_path / "work").exists()
 
 
 @pytest.mark.parametrize("command, overrides, width, table, untouched", [
@@ -581,6 +624,47 @@ def test_config_hash_semantics(tmp_path):
     doc["work_dir"] = "elsewhere"
     cfg_path.write_text(json.dumps(doc))
     assert load_config(cfg_path).config_hash() == base
+
+
+def test_config_hash_keeps_integers_written_into_float_fields(tmp_path):
+    # a reader that made 1 into 1.0 would change these hashes, the provenance
+    # bytes in manifest.json, and re-run every stage of such a work dir
+    cfg_path = write_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc["cohorts"][0].update(spacing=[1, 1, 1], background_std=0)
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path)
+    assert cfg.config_hash() == \
+        "32e3eb64ead6fa05f2e05b2a4d7807eab3c4f9a82f8d2fda0c3a1e2a9fcf2d59"
+    assert {s.name: cfg.config_hash(s.config) for s in pipeline.STAGES} == {
+        "gen": "8f75c0266f82c7a3a971888342e01768c0da986320fd2014e437fac07b74b940",
+        "encode": "311b327be50d64a559c7f6760d346fd809a184bda8b23342896dc3e9934a8cda",
+        "extract": "f985a95d9f432aa2d504aae9bc0b379641a6fa77428e48a6e315bd3aba5f54a4",
+        "score": "d95429fe03f251e4e93e7af38d39fd04bdbe8dcc36af3e6b8c68a9c3c97d6540",
+        "train": "acc36db737fc963927c66bf892c6a3c21baf0ac056ca1a840a63e6ec75427dce",
+        "eval": "612d8704c56e19d5e1fdd1234fca04d96de2e7692a79a445a2f8ea093505ce95",
+        "report": "3ab0d288917bc3dc9af176ea8f31bafc24f43d5106a534632e545dff33e3921d",
+    }
+
+
+def test_config_round_trips_through_its_canonical_dict(tmp_path, monkeypatch):
+    # the canonical dict holds every field, so a declared type the reader
+    # cannot read back fails here; configs: the default, the acceptance
+    # suite's, every benchmark workload's and the README quickstart's
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from test_acceptance import ABLATION_CONFIG, SEPARABILITY_CONFIG
+    from workloads import WORKLOADS
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quickstart = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    docs = [{}, SEPARABILITY_CONFIG, ABLATION_CONFIG, quickstart,
+            *(w.config(0) for w in WORKLOADS.values())]
+    for i, doc in enumerate(docs):
+        cfg = parse_config(doc, base_dir=tmp_path)
+        back = parse_config(json.loads(json.dumps(cfg.canonical_dict())),
+                            workdir_override=cfg.work_dir, threads_override=cfg.threads)
+        for f in dataclasses.fields(cfg):
+            assert getattr(back, f.name) == getattr(cfg, f.name), (i, f.name)
+        assert back.config_hash() == cfg.config_hash(), i
 
 
 def test_seed_override_changes_eval(tmp_path):

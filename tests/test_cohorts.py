@@ -85,7 +85,7 @@ def test_shipped_cohort_names_are_file_stems(monkeypatch):
     workloads = importlib.import_module("workloads")
     docs = [c for cfg in (SEPARABILITY_CONFIG, ABLATION_CONFIG) for c in cfg["cohorts"]]
     docs += [c for w in workloads.WORKLOADS.values() for c in w.config(0)["cohorts"]]
-    names = {CohortSpec.from_dict(c).cohort_name for c in docs}
+    names = {CohortSpec(**c).cohort_name for c in docs}
     names.add(spec(cohort_name="demo").cohort_name)
     assert {"id_lung", "far_abdomen", "near_pe", "near_subtle", "sparse", "crowded",
             "a", "b", "demo"} == names
