@@ -31,7 +31,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DataError, read_json
-from .rng import IndexSubsets, SplitMix64, derive, derive_block, tree_streams
+from .rng import IndexSubsets, derive, derive_block, tree_streams
 
 MODEL_FORMAT = "oodscan-forest-v1"
 
@@ -210,26 +210,16 @@ def _best_split(K, sums, W, parent_impurity):
     return float(dec[best]), c, int(K[c, k]) >> 1, int(K[c, k + 1]) >> 1
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
-             params: RFParams, rng: SplitMix64, *,
-             ranks: tuple[np.ndarray, list[np.ndarray]] | None = None,
-             sums: np.ndarray | None = None,
-             rows: np.ndarray | None = None,
-             row_weights: np.ndarray | None = None,
-             subsets: IndexSubsets | None = None) -> TreeNode:
-    """Grow one CART tree; feature subsets come from ``rng`` depth-first,
-    left child first. Each row weighs ``class_weights[y]``.
-
-    ``ranks`` are ``rank_keys(X, y)``, ``sums`` ``class_sums`` of
-    ``class_weights`` over at least the tree's row count, ``row_weights``
-    ``weight_rows(y, class_weights)`` and ``subsets`` ``IndexSubsets(rng,
-    d, max_features)``, by default made here; ``fit_forest`` makes them
-    once per forest, or per tree with the first draw made ahead. ``rows``
-    grows the tree on the rows ``X[rows]`` (with repeats, in that order)
-    without copying them; the caller has then checked that ``X`` is
-    finite, as ``fit_forest`` does. A node's class weights are
-    ``np.add.reduce`` of its rows' weights: a pairwise sum, which depends
-    on where each row sits.
+def fit_tree(ranks: tuple[np.ndarray, list[np.ndarray]], sums: np.ndarray,
+             row_weights: np.ndarray, params: RFParams, rows: np.ndarray,
+             subsets: IndexSubsets) -> TreeNode:
+    """Grow one CART tree on the rows ``rows`` of the training matrix (with
+    repeats, in that order); feature subsets come from ``subsets`` depth-first,
+    left child first. ``fit_forest`` builds every argument: ``ranks`` are
+    ``rank_keys(X, y)``, ``sums`` ``class_sums`` over at least the row count
+    and ``row_weights`` ``weight_rows(y, class_weights)``. A node's class
+    weights are ``np.add.reduce`` of its rows' weights: a pairwise sum, which
+    depends on where each row sits.
 
     A threshold is the midpoint of the cut's two values, or the lower one
     when the midpoint is not below the upper. The value table keeps one
@@ -238,33 +228,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
     its half stands; with a zero above, half the lower value stands if it
     is negative, and else the lower value itself, nonzero, is taken.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    weights = np.array(class_weights, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("fit_tree needs a non-empty 2-D matrix")
-    if rows is None:
-        if not np.all(np.isfinite(X)):
-            raise ValueError("fit_tree features must be finite")
-        rows = np.arange(X.shape[0])
-    rows = np.asarray(rows, dtype=np.intp)
-    if y.shape != X.shape[:1]:
-        raise ValueError("labels must match the row count")
-    if weights.shape != (2,) or not all(0.0 < w < math.inf for w in weights.tolist()):
-        raise ValueError("class_weights must be two positive finite numbers")
-    K, values = rank_keys(X, y) if ranks is None else ranks
-    if K.shape != X.shape[::-1]:
-        raise ValueError("ranks must be the rank keys of X")
-    sums = class_sums(weights, rows.size) if sums is None else sums
-    if sums.shape[1] <= rows.size or sums[:, 1].tolist() != weights.tolist():
-        raise ValueError("sums must be the class_sums of class_weights over the rows")
-    d, m = X.shape[1], params.resolve_max_features(X.shape[1])
-    subsets = IndexSubsets(rng, d, m) if subsets is None else subsets
-    if subsets.rng is not rng or (subsets.n, subsets.k) != (d, m):
-        raise ValueError(f"subsets must draw {m} of {d} features from rng")
-    row_weights = weight_rows(y, weights) if row_weights is None else row_weights
-    if row_weights.shape != (2, X.shape[0]):
-        raise ValueError("row_weights must be the (2, n) row weights of y")
+    K, values = ranks
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         W = np.add.reduce(row_weights.take(idx, axis=1), axis=1)  # row by row, as 1-D
@@ -298,7 +262,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, class_weights: tuple[float, float],
         return grow(rows, 0)
     finally:
         # grow's closure holds grow itself: emptying that cell ends the cycle,
-        # so X and the weights are freed now, not at the next cyclic collection
+        # so the keys and weights are freed now, not at the next cyclic collection
         del grow
 
 
@@ -324,8 +288,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, params: RFParams, seed: int,
 
     ranks, sums, row_weights = rank_keys(X, y), class_sums(weights, n), weight_rows(y, weights)
     seeds = derive_block(derive(seed, "tree"), np.arange(params.n_trees))
-    trees = (fit_tree(X, y, weights, params, subsets.rng, ranks=ranks, sums=sums, rows=rows,
-                      row_weights=row_weights, subsets=subsets)
+    trees = (fit_tree(ranks, sums, row_weights, params, rows, subsets)
              for rows, subsets in tree_streams(seeds, n, d, params.resolve_max_features(d)))
     return Forest(trees=trees, n_features=d, feature_names=tuple(feature_names),
                   seed=seed, params=params)
@@ -372,14 +335,6 @@ def predict_proba_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
 def predict_proba(forest: Forest, x: np.ndarray) -> tuple[float, float]:
     p = predict_proba_batch(forest, np.asarray(x, dtype=np.float64)[None, :])[0]
     return float(p[0]), float(p[1])
-
-
-def predict_scan(forest: Forest, crop_vectors: np.ndarray) -> float:
-    """Scan-level OOD probability: classifier output averaged across crops."""
-    crop_vectors = np.asarray(crop_vectors, dtype=np.float64)
-    if crop_vectors.ndim != 2 or crop_vectors.shape[0] == 0:
-        raise ValueError("predict_scan needs a non-empty (crops, features) matrix")
-    return float(predict_proba_batch(forest, crop_vectors)[:, 1].mean())
 
 
 def _class_weights(cols: tuple[list, ...], i: int, totals: list) -> tuple[float, float]:

@@ -93,21 +93,6 @@ def _labelled_table(cfg: RunConfig, manifest: CohortManifest, kind: str) -> Feat
     return table
 
 
-def _split_eval(cfg: RunConfig, manifest: CohortManifest, methods, **tables):
-    """The repeated-split protocol as ``cfg`` sets it, over the given tables."""
-    return repeated_split_eval(
-        manifest,
-        methods=methods,
-        rf_params=cfg.forest,
-        rfe_target=cfg.rfe_target,
-        rfe_step=cfg.rfe_step,
-        train_frac=cfg.protocol.train_frac,
-        n_seeds=cfg.protocol.n_seeds,
-        base_seed=cfg.protocol.base_seed,
-        **tables,
-    )
-
-
 def _check_max_features(cfg: RunConfig, widths: dict[str, int]) -> None:
     """Refuse, before any fit, a ``forest.max_features`` above a table's width."""
     for table, width in widths.items():
@@ -130,6 +115,9 @@ def stage_encode(cfg: RunConfig) -> None:
 
     def encode_one(rec: ScanRecord) -> ScanRecord:
         volume = load_volume(rec)
+        if any(d % cfg.encoder.patch_size for d in volume.dims):
+            raise ConfigError(f"encoder.patch_size {cfg.encoder.patch_size} does not divide "
+                              f"the dims {list(volume.dims)} of scan {rec.scan_id!r}")
         pyramid = toy_encode(volume, cfg.encoder)
         paths = []
         for i, stage in enumerate(pyramid.stages):
@@ -150,6 +138,9 @@ def stage_extract(cfg: RunConfig) -> None:
     for rec in records:
         volume = load_volume(rec)
         mask = load_mask(rec)
+        if any(c > d for c, d in zip(cfg.crops.size, mask.dims)):
+            raise ConfigError(f"crops.size {list(cfg.crops.size)} exceeds the dims "
+                              f"{list(mask.dims)} of scan {rec.scan_id!r}")
         pyramid = load_pyramid(rec, volume)
         names = deep_feature_names(pyramid)
         if deep_rows and names != deep_names:
@@ -219,8 +210,8 @@ def stage_eval(cfg: RunConfig) -> None:
     _check_max_features(cfg, {str(paths["deep"]): len(deep.names),
                               f"{paths['radiomics']} after rfe_target {cfg.rfe_target}":
                               fitted_width(len(radiomics.names), cfg.rfe_target)})
-    report = _split_eval(cfg, manifest, METHOD_ORDER, deep_table=deep,
-                         radiomics_table=radiomics, baseline_scores=baselines)
+    report = repeated_split_eval(manifest, cfg, METHOD_ORDER, deep_table=deep,
+                                 radiomics_table=radiomics, baseline_scores=baselines)
     write_per_seed_csv(report, paths["per_seed"])
     write_summary_csv(report, paths["summary_csv"])
     write_summary_text(report, paths["summary_txt"])
@@ -248,8 +239,8 @@ def run_ablate(cfg: RunConfig) -> Path:
         if not columns[stage]:
             raise DataError(f"deep feature table has no columns for stage {stage}")
     _check_max_features(cfg, {f"stage {s} of {paths['deep']}": len(c) for s, c in columns.items()})
-    stage_reports = {stage: _split_eval(cfg, manifest, ("rf_deep",),
-                                        deep_table=deep.select_columns(keep))
+    stage_reports = {stage: repeated_split_eval(manifest, cfg, ("rf_deep",),
+                                                deep_table=deep.select_columns(keep))
                      for stage, keep in columns.items()}
     write_ablation_csv(stage_reports, paths["ablation"])
     return paths["ablation"]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError
 from .forest import RFParams, fit_forest, predict_proba_batch
 from .manifest import CohortManifest
@@ -148,20 +149,17 @@ def _metrics_pct(labels, scores) -> tuple[float, float]:
 
 def repeated_split_eval(
     manifest: CohortManifest,
-    *,
+    cfg: RunConfig,
     methods: tuple[str, ...] = METHOD_ORDER,
+    *,
     deep_table: FeatureTable | None = None,
     radiomics_table: FeatureTable | None = None,
     baseline_scores: dict[str, dict[str, float]] | None = None,
-    rf_params: RFParams = RFParams(),
-    rfe_target: int = 32,
-    rfe_step: int | None = None,
-    train_frac: float = 0.4,
-    n_seeds: int = 100,
-    base_seed: int = 0,
 ) -> EvalReport:
-    if n_seeds < 1:
-        raise DataError("n_seeds must be >= 1")
+    """The protocol as ``cfg`` sets it (``forest``, ``protocol``, ``rfe_target``
+    and ``rfe_step``) over the given tables."""
+    train_frac, n_seeds, base_seed = (cfg.protocol.train_frac, cfg.protocol.n_seeds,
+                                      cfg.protocol.base_seed)
     id_cohorts = manifest.cohort_names(label="ID")
     ood_cohorts = manifest.cohort_names(label="OOD")
     id_ids = [r.scan_id for r in manifest.records if r.cohort_label == "ID"]
@@ -223,10 +221,10 @@ def repeated_split_eval(
                 use_rfe = method == "rf_radiomics"
                 scan_scores = _rf_seed_scores(
                     tables[method], splits,
-                    params=rf_params,
+                    params=cfg.forest,
                     forest_seed=derive(base_seed, method, s),
-                    rfe_target=rfe_target if use_rfe else None,
-                    rfe_step=rfe_step,
+                    rfe_target=cfg.rfe_target if use_rfe else None,
+                    rfe_step=cfg.rfe_step,
                     rfe_seed=derive(base_seed, "rfe", method, s),
                 )
                 for cohort in ood_cohorts:

@@ -50,13 +50,8 @@ class OodScore:
             raise ValueError("score value must be finite")
 
 
-def voxel_softmax(l0: float, l1: float) -> tuple[float, float]:
-    """Overflow-safe two-class softmax via max subtraction."""
-    p = _softmax_pair(np.array([l0], dtype=np.float64), np.array([l1], dtype=np.float64))
-    return float(p[0][0]), float(p[1][0])
-
-
 def _softmax_pair(l0: np.ndarray, l1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overflow-safe two-class softmax via max subtraction."""
     m = np.maximum(l0, l1)
     e0 = np.exp(l0 - m)
     e1 = np.exp(l1 - m)
@@ -82,13 +77,6 @@ def _voxel_scores(l0: np.ndarray, l1: np.ndarray, cfg: ScoreConfig) -> np.ndarra
         nz = p > 0
         out[nz] -= p[nz] * np.log(p[nz])
     return out
-
-
-def voxel_scores(logits: tuple[float, float], cfg: ScoreConfig) -> float:
-    """Per-voxel confidence score for a two-logit pair."""
-    l0 = np.array([logits[0]], dtype=np.float64)
-    l1 = np.array([logits[1]], dtype=np.float64)
-    return float(_voxel_scores(l0, l1, cfg)[0])
 
 
 def scan_score(logits: Grid, mask: Grid, cfg: ScoreConfig,

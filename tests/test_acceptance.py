@@ -20,7 +20,6 @@ from oodscan.forest import (
     RFParams,
     balanced_weights,
     fit_forest,
-    fit_tree,
     load_model,
     predict_proba_batch,
     save_model,
@@ -28,7 +27,7 @@ from oodscan.forest import (
 from oodscan.metrics import auroc, fpr_at_tpr
 from oodscan.ovf import read_ovf, write_ovf
 from oodscan.rng import SplitMix64, derive
-from oodscan.scores import ScoreConfig, voxel_scores, voxel_softmax
+from oodscan.scores import ScoreConfig, _softmax_pair, _voxel_scores
 from oodscan.treeshap import tree_shap
 from oodscan.volumes import Grid
 
@@ -38,6 +37,7 @@ from oracles import (
     pairwise_auroc,
     tree_value,
 )
+from test_forest import lone_tree
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -132,8 +132,8 @@ def test_criterion_03_rf_sanity():
 
     X_xor = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y_xor = np.array([0, 1, 1, 0])
-    tree = fit_tree(X_xor, y_xor, (1.0, 1.0),
-                    RFParams(max_depth=2, max_features=2), SplitMix64(5))
+    tree = lone_tree(X_xor, y_xor, (1.0, 1.0),
+                     RFParams(max_depth=2, max_features=2), SplitMix64(5))
     xor_forest = Forest(trees=[tree], n_features=2, feature_names=("a", "b"),
                         seed=0, params=RFParams(n_trees=1))
     xor_pred = predict_proba_batch(xor_forest, X_xor)[:, 1]
@@ -154,8 +154,8 @@ def test_criterion_03_rf_sanity():
             Xt[:, j] = transforms[drng.randrange(4)](Xd[:, j])
         w = balanced_weights(yd)
         params = RFParams(max_depth=6)
-        ta = fit_tree(Xd, yd, w, params, SplitMix64(seed))
-        tb = fit_tree(Xt, yd, w, params, SplitMix64(seed))
+        ta = lone_tree(Xd, yd, w, params, SplitMix64(seed))
+        tb = lone_tree(Xt, yd, w, params, SplitMix64(seed))
         fa = Forest(trees=[ta], n_features=4, feature_names=("a", "b", "c", "d"),
                     seed=0, params=params)
         fb = Forest(trees=[tb], n_features=4, feature_names=("a", "b", "c", "d"),
@@ -183,7 +183,7 @@ def test_criterion_04_balanced_weights():
         for t in range(params.n_trees):
             trng = SplitMix64(derive(seed, "tree", t))
             bidx = np.array([trng.randrange(100) for _ in range(100)])
-            flat_trees.append(fit_tree(X[bidx], y[bidx], (1.0, 1.0), params, trng))
+            flat_trees.append(lone_tree(X[bidx], y[bidx], (1.0, 1.0), params, trng))
         flat = Forest(trees=flat_trees, n_features=2, feature_names=("a", "b"),
                       seed=seed, params=params)
         rf.append(float((predict_proba_batch(flat, X)[:, 1] > 0.5)[y == 1].mean()))
@@ -205,14 +205,15 @@ def test_criterion_05_numerical_robustness():
     corners = [(-1e4, -1e4), (-1e4, 1e4), (1e4, -1e4), (1e4, 1e4), (0.0, 1e4)]
     for l0, l1 in corners:
         for cfg in methods:
-            all_finite &= math.isfinite(voxel_scores((l0, l1), cfg))
+            all_finite &= math.isfinite(_voxel_scores(np.array([l0]), np.array([l1]), cfg)[0])
     for _ in range(10_000):
         l0, l1 = (float(v) for v in rng.uniform(-1e4, 1e4, 2))
-        p0, p1 = voxel_softmax(l0, l1)
-        sums_ok &= abs(p0 + p1 - 1.0) <= 1e-12
+        voxel = np.array([l0]), np.array([l1])  # one voxel's two logits
+        p0, p1 = _softmax_pair(*voxel)
+        sums_ok &= abs(p0[0] + p1[0] - 1.0) <= 1e-12
         for cfg in methods:
-            all_finite &= math.isfinite(voxel_scores((l0, l1), cfg))
-        got = voxel_scores((l0, l1), ScoreConfig("energy"))
+            all_finite &= math.isfinite(_voxel_scores(*voxel, cfg)[0])
+        got = float(_voxel_scores(*voxel, ScoreConfig("energy"))[0])
         want = float(-(((Decimal(repr(l0)).exp()) + Decimal(repr(l1)).exp()).ln()))
         worst = max(worst, abs(got - want))
         energy_ok &= abs(got - want) <= 1e-12

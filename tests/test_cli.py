@@ -594,6 +594,24 @@ def test_max_features_as_a_numeric_string_still_fits(finished_run, tmp_path):
         assert main([command, "--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("command, overrides, message, untouched", [
+    ("extract", {"crops": {"count": 2, "size": [64, 64, 64], "jitter_radius": 1}},
+     "crops.size [64, 64, 64] exceeds the dims [16, 16, 16] of scan ", "features_deep.csv"),
+    ("encode", {"encoder": {"patch_size": 3, "widths": [4, 4, 8, 8, 8], "seed": 5}},
+     "encoder.patch_size 3 does not divide the dims [16, 16, 16] of scan ", "manifest.json"),
+], ids=["crops.size", "encoder.patch_size"])
+def test_config_that_does_not_fit_the_scans_exits_2(finished_run, tmp_path, capsys, command,
+                                                    overrides, message, untouched):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    artifact = run / "work" / untouched
+    before = artifact.read_bytes()
+    assert main([command, "--config", str(write_config(run, **overrides))]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error stage={command} ConfigError: {message}")
+    assert artifact.read_bytes() == before
+
+
 def test_negative_explain_limit_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["explain", "--config", str(cfg_path), "--limit", "-3"]) == 2

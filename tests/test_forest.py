@@ -19,10 +19,10 @@ from oodscan.forest import (
     mdi_importance,
     predict_proba,
     predict_proba_batch,
-    predict_scan,
     class_sums,
     rank_keys,
     save_model,
+    weight_rows,
     _PAIR_BLOCK,
     _best_split,
     _impurity,
@@ -40,6 +40,17 @@ from oracles import (
     seed_whose_draw_is,
     tree_nodes,
 )
+
+
+def lone_tree(X, y, class_weights, params, rng, rows=None):
+    """``fit_tree`` on the rows ``rows`` of ``X`` (all by default), fed the
+    stream ``rng`` and the inputs that ``fit_forest`` builds per forest."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.intp)
+    d = X.shape[1]
+    return fit_tree(rank_keys(X, y), class_sums(class_weights, rows.size),
+                    weight_rows(y, class_weights), params, rows,
+                    IndexSubsets(rng, d, params.resolve_max_features(d)))
 
 
 def gaussian_blobs(n=200, separation=6.0, seed=3, d=2):
@@ -218,7 +229,7 @@ def test_rank_key_search_is_bit_equal_to_float_key_search(node):
     want = float_key_best_split(V, w0n, w1n, w0n.sum(), w1n.sum(), parent)
     values = rank_keys(V, yV)[1]
     # keys of the whole matrix taken at the bootstrap rows, as fit_forest
-    # passes them, and keys of the sample itself, as fit_tree computes them
+    # passes them, and keys of the sample itself, as a tree on its copy sees them
     K, full_values = rank_keys(X, y)
     cols = list(range(X.shape[1]))
     for ranks in ((K[:, bidx], full_values), None):
@@ -303,10 +314,8 @@ def test_rank_key_tree_is_bit_equal_to_float_key_tree(node, data):
     assert_cuts_where_scored(want, V, yV, w, np.arange(len(bidx)))
     # repr tells -0.0 from 0.0 and prints every float exactly; the tree on
     # the bootstrap rows of X is the one fit_forest grows
-    for got in (fit_tree(V, yV, weights, params, SplitMix64(seed)),
-                fit_tree(X, y, weights, params, SplitMix64(seed),
-                         ranks=rank_keys(X, y), sums=class_sums(weights, len(bidx)),
-                         rows=bidx)):
+    for got in (lone_tree(V, yV, weights, params, SplitMix64(seed)),
+                lone_tree(X, y, weights, params, SplitMix64(seed), rows=bidx)):
         assert repr(_tree_tuple(got)) == repr(want)
 
 
@@ -314,8 +323,8 @@ def test_rank_key_tree_is_bit_equal_to_float_key_tree(node, data):
 def test_tree_on_shared_rows_is_bit_equal_to_tree_on_their_copy(node, seed):
     X, bidx, y, weights = node
     params = RFParams(max_depth=6, max_features=1)
-    want = fit_tree(X[bidx], y[bidx], weights, params, SplitMix64(seed))
-    got = fit_tree(X, y, weights, params, SplitMix64(seed), ranks=rank_keys(X, y), rows=bidx)
+    want = lone_tree(X[bidx], y[bidx], weights, params, SplitMix64(seed))
+    got = lone_tree(X, y, weights, params, SplitMix64(seed), rows=bidx)
     assert repr(_tree_tuple(got)) == repr(_tree_tuple(want))
 
 
@@ -325,47 +334,10 @@ def test_tree_on_shared_rows_is_bit_equal_to_tree_on_their_copy(node, seed):
     (-1.7e308, -1.5e308),  # ... and to -inf
 ])
 def test_cut_whose_midpoint_is_not_below_the_upper_value_is_at_the_lower(lower, upper):
-    tree = fit_tree(np.array([[lower], [upper]]), np.array([0, 1]), (1.0, 1.0),
-                    RFParams(max_features=1), SplitMix64(0))
+    tree = lone_tree(np.array([[lower], [upper]]), np.array([0, 1]), (1.0, 1.0),
+                     RFParams(max_features=1), SplitMix64(0))
     assert tree.threshold == lower
     assert tree.left.dist == (1.0, 0.0) and tree.right.dist == (0.0, 1.0)
-
-
-def test_fit_tree_rejects_ranks_of_another_shape():
-    X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    y = np.array([0, 1])
-    with pytest.raises(ValueError):
-        fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(0), ranks=rank_keys(X[:, :1], y))
-
-
-@pytest.mark.parametrize("sums", [class_sums((1.0, 2.0), 2), class_sums((2.0, 1.0), 2),
-                                  class_sums((1.0, 1.0), 1)],
-                         ids=["other-w1", "other-w0", "too-short"])
-def test_fit_tree_rejects_sums_of_other_weights_or_fewer_rows(sums):
-    X = np.array([[0.0], [1.0]])
-    y = np.array([0, 1])
-    with pytest.raises(ValueError, match="sums"):
-        fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(0), sums=sums)
-
-
-def test_fit_tree_rejects_subsets_of_another_stream_or_size_and_other_row_weights():
-    X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    y = np.array([0, 1])
-    rng = SplitMix64(0)
-    for subsets in (IndexSubsets(SplitMix64(0), 2, 1), IndexSubsets(rng, 2, 2),
-                    IndexSubsets(rng, 3, 1)):
-        with pytest.raises(ValueError, match="subsets"):
-            fit_tree(X, y, (1.0, 1.0), RFParams(max_features=1), rng, subsets=subsets)
-    with pytest.raises(ValueError, match="row_weights"):
-        fit_tree(X, y, (1.0, 1.0), RFParams(), rng, row_weights=np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.0), (-1.0, 1.0), (1.0, np.inf),
-                                     (np.nan, 1.0), np.ones(3)])
-def test_fit_tree_rejects_class_weights_that_are_not_two_positive_numbers(weights):
-    X = np.array([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        fit_tree(X, np.array([0, 1]), weights, RFParams(), SplitMix64(0))
 
 
 # --- single trees -------------------------------------------------------------
@@ -373,7 +345,7 @@ def test_fit_tree_rejects_class_weights_that_are_not_two_positive_numbers(weight
 def test_separable_1d_split_at_midpoint():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, (1.0, 1.0), RFParams(max_features=1), SplitMix64(0))
+    tree = lone_tree(X, y, (1.0, 1.0), RFParams(max_features=1), SplitMix64(0))
     assert tree.feature == 0
     assert tree.threshold == 1.5
     assert tree.left.is_leaf() and tree.left.dist == (1.0, 0.0)
@@ -383,7 +355,7 @@ def test_separable_1d_split_at_midpoint():
 def test_identical_rows_mixed_labels_single_leaf():
     X = np.ones((6, 3))
     y = np.array([0, 1, 0, 1, 1, 1])
-    tree = fit_tree(X, y, balanced_weights(y), RFParams(), SplitMix64(1))
+    tree = lone_tree(X, y, balanced_weights(y), RFParams(), SplitMix64(1))
     assert tree.is_leaf()
     assert tree.dist[0] == pytest.approx(0.5)  # balanced prior
     assert tree.dist[1] == pytest.approx(0.5)
@@ -392,8 +364,8 @@ def test_identical_rows_mixed_labels_single_leaf():
 def test_xor_exact_at_depth_two():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    tree = fit_tree(X, y, (1.0, 1.0), RFParams(max_depth=2, max_features=2),
-                    SplitMix64(5))
+    tree = lone_tree(X, y, (1.0, 1.0), RFParams(max_depth=2, max_features=2),
+                     SplitMix64(5))
     forest = Forest(trees=[tree], n_features=2, feature_names=("a", "b"),
                     seed=0, params=RFParams(n_trees=1))
     pred = predict_proba_batch(forest, X)[:, 1]
@@ -404,7 +376,7 @@ def test_xor_exact_at_depth_two():
 def test_zero_weight_class_becomes_leaf():
     X = np.array([[0.0], [1.0]])
     y = np.array([1, 1])
-    tree = fit_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(2))
+    tree = lone_tree(X, y, (1.0, 1.0), RFParams(), SplitMix64(2))
     assert tree.is_leaf() and tree.dist == (0.0, 1.0)
 
 
@@ -417,7 +389,7 @@ def test_single_tree_forest_reduces_to_bootstrap_tree():
 
     rng = SplitMix64(derive(9, "tree", 0))
     bidx = np.array([rng.randrange(len(X)) for _ in range(len(X))])
-    tree = fit_tree(X[bidx], y[bidx], balanced_weights(y), params, rng)
+    tree = lone_tree(X[bidx], y[bidx], balanced_weights(y), params, rng)
     manual = Forest(trees=[tree], n_features=2, feature_names=("f0", "f1"),
                     seed=9, params=params)
     probe = gaussian_blobs(n=30, seed=8)[0]
@@ -433,7 +405,7 @@ def scalar_forest(X, y, params, seeds):
     for seed in seeds:
         rng = SplitMix64(seed)
         bidx = np.array([rng.randrange(len(X)) for _ in range(len(X))])
-        trees.append(fit_tree(X[bidx], y[bidx], weights, params, rng))
+        trees.append(lone_tree(X[bidx], y[bidx], weights, params, rng))
     return Forest(trees=trees, n_features=X.shape[1], feature_names=(), seed=0, params=params)
 
 
@@ -533,18 +505,6 @@ def test_probabilities_always_valid():
     probs = predict_proba_batch(forest, gaussian_blobs(n=100, seed=6)[0])
     assert np.all(probs >= 0) and np.all(probs <= 1)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_predict_scan_averages_crops():
-    split = TreeNode(feature=0, threshold=0.5, cover=2.0, dist=(0.6, 0.4),
-                     left=TreeNode(dist=(0.8, 0.2), cover=1.0),
-                     right=TreeNode(dist=(0.4, 0.6), cover=1.0))
-    forest = Forest(trees=[split], n_features=1, feature_names=("f0",),
-                    seed=0, params=RFParams(n_trees=1))
-    crops = np.array([[0.0], [1.0]])
-    assert predict_scan(forest, crops) == pytest.approx(0.4)  # mean of .2, .6
-    assert predict_scan(forest, crops[::-1]) == pytest.approx(0.4)  # order-free
-    assert predict_scan(forest, np.array([[0.0], [0.0]])) == pytest.approx(0.2)
 
 
 @st.composite
@@ -703,8 +663,8 @@ def test_monotone_transform_invariance():
                               np.argsort(mdi_importance(trans)))
 
         w = balanced_weights(y)
-        tree_a = fit_tree(X, y, w, params, SplitMix64(seed))
-        tree_b = fit_tree(Xt, y, w, params, SplitMix64(seed))
+        tree_a = lone_tree(X, y, w, params, SplitMix64(seed))
+        tree_b = lone_tree(Xt, y, w, params, SplitMix64(seed))
         one_a = Forest(trees=[tree_a], n_features=4,
                        feature_names=("a", "b", "c", "d"), seed=0, params=params)
         one_b = Forest(trees=[tree_b], n_features=4,
@@ -732,7 +692,7 @@ def test_balanced_weights_help_minority_recall():
         for t in range(params.n_trees):
             trng = SplitMix64(derive(seed, "tree", t))
             bidx = np.array([trng.randrange(len(X)) for _ in range(len(X))])
-            flat_trees.append(fit_tree(X[bidx], y[bidx], (1.0, 1.0), params, trng))
+            flat_trees.append(lone_tree(X[bidx], y[bidx], (1.0, 1.0), params, trng))
         flat = Forest(trees=flat_trees, n_features=2, feature_names=("a", "b"),
                       seed=seed, params=params)
         pred_f = predict_proba_batch(flat, X)[:, 1] > 0.5

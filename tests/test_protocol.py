@@ -1,10 +1,12 @@
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oodscan import parallel
 from oodscan.cli import main
+from oodscan.config import ProtocolConfig, RunConfig
 from oodscan.errors import DataError
 from oodscan.forest import RFParams
 from oodscan.manifest import CohortManifest, ScanRecord
@@ -62,20 +64,21 @@ def baseline_scores(manifest, quality=1.0, seed=3):
     return out
 
 
-PARAMS = RFParams(n_trees=8, max_depth=5)
+def run_config(n_seeds, base_seed):
+    """The 40/60 protocol over ``n_seeds`` seeds with small forests."""
+    return RunConfig(work_dir=Path("work"), manifest=Path("work/manifest.json"),
+                     forest=RFParams(n_trees=8, max_depth=5),
+                     protocol=ProtocolConfig(n_seeds=n_seeds, base_seed=base_seed))
 
 
-def run(manifest, n_seeds=3, **kw):
+def run(manifest, n_seeds=3):
     deep, rad = feature_tables(manifest)
     return repeated_split_eval(
         manifest,
+        run_config(n_seeds, base_seed=42),
         deep_table=deep,
         radiomics_table=rad,
         baseline_scores=baseline_scores(manifest),
-        rf_params=PARAMS,
-        n_seeds=n_seeds,
-        base_seed=42,
-        **kw,
     )
 
 
@@ -128,10 +131,8 @@ def test_separable_features_score_high():
 def test_rf_methods_vary_across_seeds_with_weak_features():
     manifest = fake_manifest(n_id=8, n_ood=8)
     deep, rad = feature_tables(manifest, gap=0.4, seed=9)
-    report = repeated_split_eval(
-        manifest, methods=("rf_deep",), deep_table=deep,
-        rf_params=PARAMS, n_seeds=5, base_seed=7,
-    )
+    report = repeated_split_eval(manifest, run_config(5, base_seed=7), ("rf_deep",),
+                                 deep_table=deep)
     res = report.results[("rf_deep", "pe")]
     assert len(set(res.per_seed)) > 1  # different splits, different metrics
 
@@ -145,15 +146,14 @@ def test_missing_feature_rows_detected():
         crop_indices=deep.crop_indices[2:], values=deep.values[2:],
     )
     with pytest.raises(DataError, match="missing scans"):
-        repeated_split_eval(manifest, methods=("rf_deep",), deep_table=trimmed,
-                            rf_params=PARAMS, n_seeds=1, base_seed=0)
+        repeated_split_eval(manifest, run_config(1, base_seed=0), ("rf_deep",),
+                            deep_table=trimmed)
 
 
 def test_missing_baseline_scores_detected():
     manifest = fake_manifest()
     with pytest.raises(DataError, match="requires baseline scores"):
-        repeated_split_eval(manifest, methods=("energy",), rf_params=PARAMS,
-                            n_seeds=1, base_seed=0)
+        repeated_split_eval(manifest, run_config(1, base_seed=0), ("energy",))
 
 
 def test_only_gen_and_encode_use_a_thread_pool(tmp_path, monkeypatch):

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from oodscan.scores import (
     FALLBACK_TOP_VOXELS,
     ScoreConfig,
+    _softmax_pair,
+    _voxel_scores,
     scan_score,
-    voxel_scores,
-    voxel_softmax,
 )
 from oodscan.volumes import Grid
 
@@ -22,6 +22,17 @@ def energy_decimal(l0: float, l1: float, t: float = 1.0) -> float:
     T = Decimal(repr(t))
     total = (Decimal(repr(l0)) / T).exp() + (Decimal(repr(l1)) / T).exp()
     return float(-T * total.ln())
+
+
+def voxel_softmax(l0: float, l1: float) -> tuple[float, float]:
+    """``_softmax_pair`` of one voxel's logits."""
+    p0, p1 = _softmax_pair(np.array([l0]), np.array([l1]))
+    return float(p0[0]), float(p1[0])
+
+
+def voxel_scores(logits: tuple[float, float], cfg: ScoreConfig) -> float:
+    """``_voxel_scores`` of one voxel's logits."""
+    return float(_voxel_scores(np.array([logits[0]]), np.array([logits[1]]), cfg)[0])
 
 
 def logit_volume(l0, l1, dims=(2, 2, 2)):
