@@ -10,10 +10,13 @@ The generator is Vigna's SplitMix64: state advances by the 64-bit golden
 ratio constant and each output is the avalanche mix of the new state. The
 n-th output is therefore a closed-form function of (seed, n), which is what
 makes the vectorized block draws below exactly equal to n scalar draws.
+Scalar ``randrange`` is the reference rejection rule; the array draws decide
+rejection in one place, ``_keep``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -57,6 +60,13 @@ def _mix_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _keep(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which uint64 ``words`` ``randrange(b)`` keeps for uint64 ``bounds`` b, and
+    ``words % b``: a word's multiple of b at or below it, plus b, must fit in 2**64."""
+    rem = words % bounds
+    return words - rem <= -bounds, rem
+
+
 def _fnv1a(data: bytes) -> int:
     h = _FNV_OFFSET
     for b in data:
@@ -98,8 +108,8 @@ def derive_block(seed: int, parts) -> np.ndarray:
 class SplitMix64:
     """A single deterministic random stream.
 
-    Scalar and block methods interleave freely: ``u64_block(n)`` consumes
-    exactly the same state as n calls to ``next_u64``.
+    Scalar and block methods interleave freely: ``u64_block`` and
+    ``randrange_each`` consume exactly the state of the scalar calls they stand for.
     """
 
     __slots__ = ("_state",)
@@ -159,26 +169,20 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def randrange_block(self, n: int, count: int) -> np.ndarray:
-        """``count`` uniform integers in [0, n) as uint64: the values and the
-        final state of ``count`` scalar :meth:`randrange` calls.
-
-        Each pass draws one word per value still missing and keeps the words
-        below the rejection limit, so the words consumed are exactly those
-        the scalar calls would consume, in the same order.
-        """
-        if not 0 < n < 1 << 64:
-            raise ValueError("randrange_block() bound must be in [1, 2**64)")
-        if count < 0:
-            raise ValueError("randrange_block() count must be >= 0")
-        limit = (1 << 64) - ((1 << 64) % n)  # 2**64 when n is a power of two
-        out = np.empty(0, dtype=np.uint64)
-        while out.size < count:
-            words = self.u64_block(count - out.size)
-            if limit <= _MASK64:
-                words = words[words < np.uint64(limit)]
-            out = np.concatenate([out, words])
-        return out % np.uint64(n)
+    def randrange_each(self, bounds: np.ndarray) -> np.ndarray:
+        """One :meth:`randrange` per bound of the uint64 array ``bounds``, in order:
+        the same values (as uint64), words and final state. Each pass keeps the
+        words before the first rejected one, consumes that one and goes on."""
+        if not bounds.all():
+            raise ValueError("randrange_each() bounds must be positive")
+        out, i = np.empty_like(bounds), 0
+        while i < bounds.size:
+            keep, rem = _keep(SplitMix64(self._state).u64_block(bounds.size - i), bounds[i:])
+            kept = keep.size if keep.all() else int(keep.argmin())
+            out[i:i + kept] = rem[:kept]
+            self._state = (self._state + min(kept + 1, keep.size) * _GOLDEN) & _MASK64
+            i += kept
+        return out
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
@@ -193,74 +197,58 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+@functools.cache
+def _steps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds ``n - i`` and offsets ``i`` of ``_BLOCK`` draws' steps, read-only uint64."""
+    offsets = np.tile(np.arange(k, dtype=np.uint64), IndexSubsets._BLOCK)
+    bounds = np.uint64(n) - offsets
+    bounds.flags.writeable = offsets.flags.writeable = False
+    return bounds, offsets
+
+
 class IndexSubsets:
     """Successive draws of ``k`` distinct indices from range(n) out of ``rng``:
     partial Fisher-Yates, step i swapping in ``i + rng.randrange(n - i)``.
-
-    Draws come from words drawn ahead: the first draw's swaps ``first``
-    when given, then blocks of ``_BLOCK`` whole draws, up to the first draw
-    with a word the scalar rule rejects, which runs scalar. Each draw
-    leaves ``rng`` where scalar draws leave it and first checks that it is
-    still there, else drops the words drawn ahead. ``limits`` are
-    ``IndexSubsets.limits(n, k)``, which subsets of one size can share.
+    The subsets own ``rng``, their tree's stream: the first draw's swaps are
+    ``first`` when given, the others come ``_BLOCK`` draws at a time from
+    ``rng.randrange_each``, so the stream runs ahead of the draws made.
     """
 
     _BLOCK = 16  # a tree draws once per split; one block holds 99 % of `hard`'s trees
 
-    def __init__(self, rng: SplitMix64, n: int, k: int, *,
-                 first: list[int] | None = None, limits: tuple | None = None):
-        self.rng, self.n, self.k = rng, n, k
-        self._bounds, self._tops = limits or self.limits(n, k)
-        self._swaps, self._next, self._state = [] if first is None else [first], 0, rng._state
-
-    @staticmethod
-    def limits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The bounds ``n - i`` of the k steps and the largest word each keeps:
-        randrange(b) takes the words below 2**64 - 2**64 % b."""
+    def __init__(self, rng: SplitMix64, n: int, k: int, *, first: list[int] | None = None):
         if not 0 <= k <= n:
             raise ValueError("IndexSubsets needs 0 <= k <= n")
-        bounds = range(n, n - k, -1)
-        return (np.array(bounds, dtype=np.uint64),
-                np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64))
+        self.rng, self.n, self.k = rng, n, k
+        self._swaps = [] if first is None else [first]
 
     def draw(self) -> list[int]:
-        rng, n, k = self.rng, self.n, self.k
-        if self._next == len(self._swaps) or rng._state != self._state:
-            words = SplitMix64(rng._state).u64_block(self._BLOCK * k).reshape(self._BLOCK, k)
-            ok = (words <= self._tops).all(axis=1)
-            words = words[:self._BLOCK if ok.all() else int(ok.argmin())] % self._bounds
-            self._swaps = (words + np.arange(k, dtype=np.uint64)).tolist()
-            self._next = 0
-        if self._next < len(self._swaps):
-            swaps, self._next = self._swaps[self._next], self._next + 1
-            rng._state = (rng._state + k * _GOLDEN) & _MASK64
-        else:  # a block's first draw holds a rejected word
-            swaps = [i + rng.randrange(n - i) for i in range(k)]
-        self._state = rng._state
-        pool = list(range(n))
-        for i, j in enumerate(swaps):
+        if not self._swaps:
+            bounds, offsets = _steps(self.n, self.k)
+            swaps = self.rng.randrange_each(bounds) + offsets
+            self._swaps = swaps.reshape(self._BLOCK, self.k).tolist()[::-1]
+        pool = list(range(self.n))
+        for i, j in enumerate(self._swaps.pop()):
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return pool[:self.k]
 
 
 def tree_streams(seeds: np.ndarray, n: int, d: int, k: int):
-    """Per seed, what ``rng = SplitMix64(seed)`` gives scalar: the intp rows
-    ``rng.randrange_block(n, n)``, then ``IndexSubsets(rng, d, k)``. Words
-    1..n (the rows) and n+1..n+k (the first draw) of a chunk of streams are
-    one array, as word j is ``mix64(seed + j * GOLDEN)``; a stream with a
-    word the scalar rule rejects draws that part, and all after it, scalar.
+    """Per seed, what ``rng = SplitMix64(seed)`` gives scalar: the intp rows of
+    n ``rng.randrange(n)`` calls, then ``IndexSubsets(rng, d, k)``.
+    Words 1..n (the rows) and n+1..n+k (the first draw) of a chunk of streams
+    are one array, as word j is ``mix64(seed + j * GOLDEN)``; a stream with a
+    word the scalar rule rejects draws wholly from ``SplitMix64(seed)``.
     """
-    limits = bounds, tops = IndexSubsets.limits(d, k)
-    top = np.uint64(_MASK64 - (1 << 64) % n)  # the largest word randrange(n) keeps
+    bounds, offsets = _steps(d, k)
+    bounds = np.concatenate([np.full(n, n, dtype=np.uint64), bounds[:k]])
     steps = np.arange(1, n + k + 1, dtype=np.uint64) * _U64_GOLDEN
     chunk = max(1, _SETUP_WORDS // (n + k))
     for lo in range(0, len(seeds), chunk):
-        words = _mix_block(np.add.outer(seeds[lo:lo + chunk], steps))
-        rows_ok = (words[:, :n] <= top).all(axis=1)
-        first_ok = (rows_ok & (words[:, n:] <= tops).all(axis=1)).tolist()
-        first = (words[:, n:] % bounds + np.arange(k, dtype=np.uint64)).tolist()
-        rows = np.remainder(words[:, :n], np.uint64(n), out=words[:, :n]).view(np.intp)
-        for i, (seed, ok) in enumerate(zip(seeds[lo:lo + chunk].tolist(), rows_ok.tolist())):
-            rng = SplitMix64(seed + n * _GOLDEN if ok else seed)  # past the rows' n words
-            yield (rows[i] if ok else rng.randrange_block(n, n).astype(np.intp),
-                   IndexSubsets(rng, d, k, first=first[i] if first_ok[i] else None, limits=limits))
+        keep, rem = _keep(_mix_block(np.add.outer(seeds[lo:lo + chunk], steps)), bounds)
+        rows, first = rem[:, :n].view(np.intp), (rem[:, n:] + offsets[:k]).tolist()
+        for i, (seed, ok) in enumerate(zip(seeds[lo:lo + chunk].tolist(),
+                                           keep.all(axis=1).tolist())):
+            rng = SplitMix64(seed + (n + k) * _GOLDEN if ok else seed)  # past the words taken
+            yield ((rows[i], IndexSubsets(rng, d, k, first=first[i])) if ok else
+                   (rng.randrange_each(bounds[:n]).view(np.intp), IndexSubsets(rng, d, k)))

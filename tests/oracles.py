@@ -473,6 +473,16 @@ def scalar_sample_indices(rng, n: int, k: int) -> list[int]:
     return pool[:k]
 
 
+class ScalarSubsets:
+    """``fit_tree``'s feature subsets drawn with ``scalar_sample_indices``."""
+
+    def __init__(self, rng, n: int, k: int):
+        self.rng, self.n, self.k = rng, n, k
+
+    def draw(self) -> list[int]:
+        return scalar_sample_indices(self.rng, self.n, self.k)
+
+
 def seed_whose_draw_is(word: int, draw: int) -> int:
     """The SplitMix64 seed whose ``draw``-th output (0-based) is ``word``:
     inverts the output mix, then steps the state back ``draw + 1`` times."""

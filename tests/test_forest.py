@@ -28,9 +28,10 @@ from oodscan.forest import (
     _impurity,
 )
 from oodscan import forest as forest_module, rng as rng_module
-from oodscan.rng import IndexSubsets, SplitMix64, derive
+from oodscan.rng import SplitMix64, derive
 
 from oracles import (
+    ScalarSubsets,
     argsort_best_split,
     float_key_best_split,
     float_key_tree,
@@ -43,14 +44,14 @@ from oracles import (
 
 
 def lone_tree(X, y, class_weights, params, rng, rows=None):
-    """``fit_tree`` on the rows ``rows`` of ``X`` (all by default), fed the
-    stream ``rng`` and the inputs that ``fit_forest`` builds per forest."""
+    """``fit_tree`` on the rows ``rows`` of ``X`` (all by default), fed scalar
+    subset draws from ``rng`` and the inputs that ``fit_forest`` builds per forest."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
     rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.intp)
     d = X.shape[1]
     return fit_tree(rank_keys(X, y), class_sums(class_weights, rows.size),
                     weight_rows(y, class_weights), params, rows,
-                    IndexSubsets(rng, d, params.resolve_max_features(d)))
+                    ScalarSubsets(rng, d, params.resolve_max_features(d)))
 
 
 def gaussian_blobs(n=200, separation=6.0, seed=3, d=2):
@@ -399,7 +400,7 @@ def test_single_tree_forest_reduces_to_bootstrap_tree():
 
 def scalar_forest(X, y, params, seeds):
     """The forest grown tree by tree from the tree seeds ``seeds``: scalar
-    ``randrange`` bootstraps, copied rows, every subset drawn scalar first."""
+    ``randrange`` bootstraps, copied rows, every subset drawn scalar."""
     weights = balanced_weights(y)
     trees = []
     for seed in seeds:
@@ -445,7 +446,8 @@ def test_node_class_weights_are_pairwise_sums_of_the_bootstrap_rows():
     forest = fit_forest(X, y, RFParams(n_trees=8, max_depth=3), seed=2)
     differ = 0
     for t, root in enumerate(forest.roots.tolist()):
-        bidx = SplitMix64(derive(2, "tree", t)).randrange_block(60, 60)
+        rng = SplitMix64(derive(2, "tree", t))
+        bidx = np.array([rng.randrange(60) for _ in range(60)])
         rows = [np.where(y[bidx] == c, weights[c], 0.0) for c in (0, 1)]
         pairwise = [float(np.add.reduce(r)) for r in rows]
         sequential = [float(np.cumsum(r)[-1]) for r in rows]

@@ -94,38 +94,45 @@ def test_seed_whose_draw_is_inverts_the_stream():
         assert [r.next_u64() for _ in range(draw + 1)][-1] == 2**64 - 1
 
 
-# n = 1; powers of two, where nothing is rejected and the limit is 2**64;
-# row counts; 2**63 + 1, where about half the words are rejected
-BOUNDS = st.sampled_from([1, 2, 64, 2**32, 2**63, 7, 40, 384, 960, 2**63 + 1])
+# n = 1; powers of two, where nothing is rejected; row counts; 2**63 + 1,
+# where about half the words are rejected; 2**64 - 1, which rejects one word
+BOUNDS = st.sampled_from([1, 2, 64, 2**32, 2**63, 7, 40, 384, 960, 2**63 + 1, 2**64 - 1])
+
+
+def assert_randrange_each_equals_scalar(seed, bounds):
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    got = a.randrange_each(np.array(bounds, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [b.randrange(n) for n in bounds]
+    assert a._state == b._state
 
 
 @given(SEEDS, BOUNDS, st.integers(0, 400))
-def test_randrange_block_equals_scalar(seed, n, count):
-    a = SplitMix64(seed)
-    b = SplitMix64(seed)
-    block = a.randrange_block(n, count)
-    assert block.dtype == np.uint64
-    assert [int(v) for v in block] == [b.randrange(n) for _ in range(count)]
-    assert a._state == b._state
+def test_randrange_each_equals_scalar(seed, n, count):
+    assert_randrange_each_equals_scalar(seed, [n] * count)
 
 
-@pytest.mark.parametrize("n", [7, 384, 2**63 + 1])
-def test_randrange_block_tops_up_after_a_rejected_word(n):
+@pytest.mark.parametrize("n", [7, 384, 2**63 + 1, 2**64 - 1])
+def test_randrange_each_tops_up_after_a_rejected_word(n):
     # the all-ones word is rejected for every n that is not a power of two
-    seed = seed_whose_draw_is(2**64 - 1, 5)
-    a = SplitMix64(seed)
-    b = SplitMix64(seed)
-    assert [int(v) for v in a.randrange_block(n, 20)] == [b.randrange(n) for _ in range(20)]
-    assert a._state == b._state
+    assert_randrange_each_equals_scalar(seed_whose_draw_is(2**64 - 1, 5), [n] * 20)
 
 
-def test_randrange_block_rejects_bad_bounds():
+@given(st.lists(BOUNDS, max_size=60), st.lists(st.integers(0, 59), max_size=4))
+def test_randrange_each_equals_scalar_on_mixed_bounds(bounds, steps):
+    # the all-ones word at each of ``steps``: rejected where its bound is no
+    # power of two, and the later bounds draw from the words after it
+    assert_randrange_each_equals_scalar(0, bounds)
+    for step in steps:
+        assert_randrange_each_equals_scalar(seed_whose_draw_is(2**64 - 1, step), bounds)
+
+
+def test_randrange_each_rejects_a_zero_bound():
     r = SplitMix64(3)
-    for n in (0, -1, 2**64):
-        with pytest.raises(ValueError):
-            r.randrange_block(n, 4)
     with pytest.raises(ValueError):
-        r.randrange_block(5, -1)
+        r.randrange_each(np.array([5, 0], dtype=np.uint64))
+    assert r._state == SplitMix64(3)._state
 
 
 @given(SEEDS, st.integers(1, 200), st.integers(1, 40), st.data())
@@ -136,7 +143,6 @@ def test_sample_indices_equals_scalar_fisher_yates(seed, n, draws, data):
     subsets = IndexSubsets(a, n, k)
     for _ in range(draws):  # blocks of 16 draws
         assert subsets.draw() == scalar_sample_indices(b, n, k)
-        assert a._state == b._state
 
 
 @pytest.mark.parametrize("step", [0, 3, 10, 11, 40, 200])
@@ -150,38 +156,6 @@ def test_sample_indices_falls_back_to_scalar_on_a_rejected_word(step):
     subsets = IndexSubsets(a, 129, 11)
     for _ in range(30):
         assert subsets.draw() == scalar_sample_indices(b, 129, 11)
-        assert a._state == b._state
-
-
-@given(SEEDS, st.lists(st.sampled_from(["draw", "next_u64", "randrange"]), max_size=30))
-def test_subsets_drop_their_words_when_the_stream_moves(seed, calls):
-    a = SplitMix64(seed)
-    b = SplitMix64(seed)
-    subsets = IndexSubsets(a, 30, 4)
-    for call in ["draw", *calls, "draw"]:
-        if call == "draw":
-            assert subsets.draw() == scalar_sample_indices(b, 30, 4)
-        elif call == "next_u64":
-            assert a.next_u64() == b.next_u64()
-        else:
-            assert a.randrange(7) == b.randrange(7)
-        assert a._state == b._state
-
-
-@given(SEEDS, st.sampled_from(["none", "next_u64", "randrange"]))
-def test_subsets_drawn_ahead_drop_the_first_draw_when_the_stream_moves(seed, call):
-    a = SplitMix64(seed)
-    b = SplitMix64(seed)
-    # randrange(30 - i) rejects a word with odds below 2**-59
-    first = [i + w % (30 - i) for i, w in enumerate(SplitMix64(seed).u64_block(4).tolist())]
-    subsets = IndexSubsets(a, 30, 4, first=first, limits=IndexSubsets.limits(30, 4))
-    if call == "next_u64":
-        assert a.next_u64() == b.next_u64()
-    elif call == "randrange":
-        assert a.randrange(7) == b.randrange(7)
-    for _ in range(3):
-        assert subsets.draw() == scalar_sample_indices(b, 30, 4)
-        assert a._state == b._state
 
 
 def test_sample_indices_distinct():
@@ -210,17 +184,15 @@ def test_derive_block_equals_derive_across_byte_boundaries(seed):
 
 def assert_scalar_streams(seeds, n, d, k, draws=3):
     """``tree_streams`` gives, per seed, the rows and subset draws of one
-    scalar stream: ``randrange_block(n, n)`` and scalar Fisher-Yates."""
+    scalar stream: n ``randrange(n)`` and scalar Fisher-Yates."""
     streams = list(tree_streams(np.array(seeds, dtype=np.uint64), n, d, k))
     assert len(streams) == len(seeds)
     for seed, (rows, subsets) in zip(seeds, streams):
         b = SplitMix64(seed)
         assert rows.dtype == np.intp
-        assert rows.tolist() == b.randrange_block(n, n).tolist()
-        assert subsets.rng._state == b._state
+        assert rows.tolist() == [b.randrange(n) for _ in range(n)]
         for _ in range(draws):
             assert subsets.draw() == scalar_sample_indices(b, d, k)
-            assert subsets.rng._state == b._state
 
 
 @given(st.lists(SEEDS, min_size=1, max_size=12), st.integers(1, 300), st.integers(1, 40),
