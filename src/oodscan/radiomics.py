@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .regions import EMPTY_MASK_FEATURE
+from .regions import EMPTY_MASK_FEATURE, foreground_voxels
 from .volumes import Grid
 
 FIRST_ORDER_NAMES = (
@@ -85,7 +85,11 @@ def _first_order(x: np.ndarray) -> list[float]:
 
 
 def _surface_area(mask: np.ndarray, spacing) -> float:
-    """Exposed-face count per orientation times the matching face area."""
+    """Exposed-face count per orientation times the matching face area.
+
+    Along each axis a face is exposed between unlike neighbours and on the
+    volume's two outer sides wherever the mask is set.
+    """
     face_area = (
         spacing[1] * spacing[2],  # faces orthogonal to z
         spacing[0] * spacing[2],  # orthogonal to y
@@ -94,24 +98,24 @@ def _surface_area(mask: np.ndarray, spacing) -> float:
     total = 0.0
     m = mask.astype(bool)
     for axis, area in enumerate(face_area):
-        padded = np.pad(m, [(1, 1) if a == axis else (0, 0) for a in range(3)])
-        diff = padded.astype(np.int8)
-        exposed = np.abs(np.diff(diff, axis=axis)).sum()
+        v = np.moveaxis(m, axis, 0)
+        exposed = (np.count_nonzero(v[1:] != v[:-1])
+                   + np.count_nonzero(v[0]) + np.count_nonzero(v[-1]))
         total += float(exposed) * area
     return total
 
 
 def _shape(mask: Grid) -> list[float]:
-    coords = np.argwhere(mask.data > 0)
-    n = len(coords)
+    coords = foreground_voxels(mask)
+    n = coords[0].size
     spacing = mask.spacing
     volume = n * spacing[0] * spacing[1] * spacing[2]
     area = _surface_area(mask.data, spacing)
     sphericity = (36.0 * np.pi * volume ** 2) ** (1.0 / 3.0) / area
-    bbox = coords.max(axis=0) - coords.min(axis=0) + 1
+    bbox = np.array([c.max() - c.min() + 1 for c in coords])
     bbox_mm = bbox * np.array(spacing)
     diag = float(np.sqrt((bbox_mm ** 2).sum()))
-    centroid = coords.mean(axis=0)
+    centroid = [c.mean() for c in coords]
     # offset of the mask centroid from the volume center, normalized per axis
     offsets = [(c - (d - 1) / 2.0) / d for c, d in zip(centroid, mask.dims)]
     return [float(n), volume, area, area / volume, sphericity,

@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately brute force and shares no code with the
-implementations under test.
+implementations under test, but for ``union_find_components``: it sorts the
+package's own union-find labels into the full component list the pipeline
+no longer builds, so the labels can be checked against a flood fill.
 """
 
 from __future__ import annotations
@@ -248,7 +250,32 @@ def bfs_components(mask) -> list[np.ndarray]:
     return comps
 
 
+def union_find_components(mask) -> list[np.ndarray]:
+    """``regions.component_roots`` split into ``bfs_components``' form:
+    (n_i, 3) voxel arrays in C order, by size descending, then by their
+    first voxel."""
+    from oodscan.regions import component_roots
+
+    zyx, root = component_roots(mask)
+    if root.size == 0:
+        return []
+    vox = np.column_stack(zyx)
+    roots, sizes = np.unique(root, return_counts=True)
+    groups = np.split(vox[np.argsort(root, kind="stable")], np.cumsum(sizes)[:-1])
+    return [groups[i] for i in np.lexsort((roots, -sizes))]
+
+
 # --- masked multi-scale features ------------------------------------------
+
+def masked_mean(stage_data: np.ndarray, stage_mask: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-channel mean of (C, ...) data over mask cells; an empty mask falls
+    back to the mean over the whole grid and reports it."""
+    flat = stage_data.reshape(stage_data.shape[0], -1).astype(np.float64)
+    sel = stage_mask.reshape(-1).astype(bool)
+    if sel.any():
+        return flat[:, sel].mean(axis=1), False
+    return flat.mean(axis=1), True
+
 
 def full_volume_crop_features(stages, factors, mask, crops) -> np.ndarray:
     """Deep feature rows the direct way, one crop at a time: zero the mask
@@ -323,6 +350,21 @@ def padded_window_crop_features(stages, factors, mask, crops) -> np.ndarray:
         row.append(1.0 if fallback else 0.0)
         rows.append(row)
     return np.array(rows, dtype=np.float64)
+
+
+# --- radiomics shape -------------------------------------------------------
+
+def padded_diff_surface_area(mask: np.ndarray, spacing) -> float:
+    """Exposed faces per orientation from the absolute differences along the
+    axis of the mask padded with background, times the matching face area."""
+    face_area = (spacing[1] * spacing[2], spacing[0] * spacing[2], spacing[0] * spacing[1])
+    total = 0.0
+    m = mask.astype(bool)
+    for axis, area in enumerate(face_area):
+        padded = np.pad(m, [(1, 1) if a == axis else (0, 0) for a in range(3)])
+        exposed = np.abs(np.diff(padded.astype(np.int8), axis=axis)).sum()
+        total += float(exposed) * area
+    return total
 
 
 # --- split search -----------------------------------------------------------

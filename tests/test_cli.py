@@ -161,6 +161,21 @@ def _duplicate_rf_deep_row(text: str) -> str:
     return text + "0,RF-Deep,kidney,12.5,50.0\n"
 
 
+def _append_copy(line_no: int, value: str | None = None):
+    """Append a copy of one CSV line, with its fourth field set to ``value``
+    unless that is None."""
+    def edit(text: str) -> str:
+        fields = text.splitlines()[line_no].split(",")
+        if value is not None:
+            fields[3] = value
+        return text + ",".join(fields) + "\n"
+    return edit
+
+
+def _drop_last_line(text: str) -> str:
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
 def _relabel_ood_as_id(text: str) -> str:
     return text.replace(",OOD,", ",ID,")
 
@@ -195,6 +210,9 @@ def _edit_manifest(edit):
     pytest.param("report", "per_seed.csv", _edit_field(1, 1, "RF-Other"),
                  id="per-seed-unknown-method"),
     pytest.param("eval", "scores.csv", _edit_field(1, 3, "nan"), id="scores-nan"),
+    pytest.param("eval", "scores.csv", _append_copy(1, "123.0"), id="scores-duplicate-row"),
+    pytest.param("eval", "features_deep.csv", _append_copy(1), id="features-duplicate-row"),
+    pytest.param("eval", "features_deep.csv", _drop_last_line, id="features-scan-short-a-crop"),
     pytest.param("train", "features_deep.csv", _edit_field(2, 5, "nan"), id="features-nan"),
     pytest.param("train", "features_deep.csv", _edit_field(2, -1, None),
                  id="features-short-row"),

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodscan.radiomics import RADIOMICS_NAMES, radiomics_lite
+from oodscan.radiomics import RADIOMICS_NAMES, _surface_area, radiomics_lite
 from oodscan.volumes import Grid
+from oracles import padded_diff_surface_area
 
 
 def build(intensities_at, dims=(6, 6, 6), spacing=(1.0, 1.0, 1.0), fill=0.0):
@@ -122,3 +123,18 @@ def test_entropy_of_two_value_split():
     f = feats(radiomics_lite(vol, mask))
     assert f["fo_entropy"] == pytest.approx(np.log(2.0))
     assert f["fo_uniformity"] == pytest.approx(0.5)
+
+
+@given(st.tuples(*(st.integers(1, 7) for _ in range(3))), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.tuples(*(st.sampled_from([0.5, 1.0, 2.5]) for _ in range(3))))
+def test_surface_area_equals_padded_diff_on_masks_touching_every_face(dims, seed, density,
+                                                                       spacing):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(dims) < density
+    for axis in range(3):
+        for side in (0, -1):
+            face = np.moveaxis(mask, axis, 0)[side]
+            face[tuple(rng.integers(0, n) for n in face.shape)] = True
+    data = mask.astype(np.uint8)
+    assert _surface_area(data, spacing) == padded_diff_surface_area(data, spacing)

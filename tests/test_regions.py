@@ -13,10 +13,9 @@ import oodscan
 from oodscan.regions import (
     EMPTY_MASK_FEATURE,
     CropBox,
-    connected_components,
     deep_feature_names,
     deep_feature_vector,
-    masked_mean,
+    largest_component_centroid,
     tumor_crops,
 )
 from oodscan.rng import SplitMix64, derive
@@ -26,7 +25,9 @@ from oracles import (
     bfs_components,
     downsample_mask_to_stage,
     full_volume_crop_features,
+    masked_mean,
     padded_window_crop_features,
+    union_find_components,
 )
 
 
@@ -40,27 +41,27 @@ def mask_from(dims, voxels):
 # --- connected components -------------------------------------------------
 
 def test_two_isolated_voxels():
-    comps = connected_components(mask_from((5, 5, 5), [(0, 0, 0), (4, 4, 4)]))
+    comps = union_find_components(mask_from((5, 5, 5), [(0, 0, 0), (4, 4, 4)]))
     assert [len(c) for c in comps] == [1, 1]
     assert tuple(comps[0][0]) == (0, 0, 0)  # tie broken by smallest seed voxel
 
 
 def test_full_grid_single_component():
     m = Grid(np.ones((3, 4, 5), dtype=np.uint8))
-    comps = connected_components(m)
+    comps = union_find_components(m)
     assert len(comps) == 1 and len(comps[0]) == 60
 
 
 def test_face_and_corner_adjacency_join_under_26():
-    face = connected_components(mask_from((3, 3, 3), [(0, 0, 0), (0, 0, 1)]))
-    corner = connected_components(mask_from((3, 3, 3), [(0, 0, 0), (1, 1, 1)]))
+    face = union_find_components(mask_from((3, 3, 3), [(0, 0, 0), (0, 0, 1)]))
+    corner = union_find_components(mask_from((3, 3, 3), [(0, 0, 0), (1, 1, 1)]))
     assert len(face) == 1
     assert len(corner) == 1
 
 
 def test_sorted_by_size_descending():
     big = [(2, y, x) for y in range(3) for x in range(3)]
-    comps = connected_components(mask_from((5, 5, 5), [(0, 0, 0)] + big))
+    comps = union_find_components(mask_from((5, 5, 5), [(0, 0, 0)] + big))
     assert [len(c) for c in comps] == [9, 1]
 
 
@@ -102,12 +103,29 @@ def scipy_components(data):
 
 @given(component_masks())
 def test_components_equal_flood_fill_and_scipy_label(data):
-    got = connected_components(Grid(data.astype(np.uint8)))
+    got = union_find_components(Grid(data.astype(np.uint8)))
     for want in (bfs_components(data), scipy_components(data)):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
+
+
+@given(component_masks())
+def test_largest_component_centroid_is_the_first_flood_fill_components_mean(data):
+    comps = bfs_components(data)
+    got = largest_component_centroid(Grid(data.astype(np.uint8)))
+    if not comps:
+        assert got is None
+    else:
+        assert got == tuple(comps[0].mean(axis=0))
+
+
+def test_largest_component_tie_goes_to_the_smaller_first_voxel():
+    # two components of 2 voxels; the one starting at (0, 5, 5) comes first in C order
+    mask = mask_from((6, 6, 6), [(4, 0, 0), (4, 0, 1), (0, 5, 5), (1, 5, 5)])
+    assert largest_component_centroid(mask) == (0.5, 5.0, 5.0)
+    assert largest_component_centroid(mask_from((6, 6, 6), [])) is None
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import tracemalloc
 
@@ -41,6 +43,56 @@ def test_read_gives_back_the_written_bits(tmp_path, values):
     assert back.values.tobytes() == values.tobytes()
     assert (back.names, back.scan_ids, back.labels, back.crop_indices) == \
         (table.names, table.scan_ids, table.labels, table.crop_indices)
+
+
+def csv_writer_bytes(table: FeatureTable) -> bytes:
+    """The table as one ``csv.writer`` row per line, every float its repr."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["scan_id", "cohort_label", "crop_index", *table.names])
+    for sid, label, crop, row in zip(table.scan_ids, table.labels, table.crop_indices,
+                                     table.values):
+        writer.writerow([sid, label, crop, *map(repr, row.tolist())])
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("cols", [0, 1, 3])
+def test_rows_are_the_bytes_of_csv_writer_for_ids_that_need_quoting(tmp_path, cols):
+    ids = ("plain", "a,b", 'say "hi"', "two\nlines", " ", "ünï")
+    values = np.random.default_rng(cols).normal(size=(len(ids), cols)) * 1e5
+    table = FeatureTable(kind="deep", names=tuple(f"n,{j}" for j in range(cols)),
+                         scan_ids=ids, labels=tuple(reversed(ids)),
+                         crop_indices=(0,) * len(ids), values=values)
+    path = tmp_path / "features.csv"
+    write_feature_table(table, path)
+    assert path.read_bytes() == csv_writer_bytes(table)
+    back = read_feature_table(path, "deep")
+    assert (back.scan_ids, back.labels, back.names) == (table.scan_ids, table.labels,
+                                                        table.names)
+    assert back.values.tobytes() == values.tobytes()
+
+
+def rewrite_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit, line, what", [
+    pytest.param(lambda lines: lines + [lines[3]], 18, r"repeats crop 2 of scan 's0000'",
+                 id="repeated-row"),
+    pytest.param(lambda lines: lines[:-1], 10, r"scan 's0001' has crop indices \[0, 1, 2, 3, "
+                 r"4, 5, 6\], not 0..7", id="scan-short-a-crop"),
+    pytest.param(lambda lines: lines[:9] + [lines[9].replace(",0,", ",8,", 1)] + lines[10:],
+                 10, r"scan 's0001' has crop indices \[1, 2, 3, 4, 5, 6, 7, 8\]",
+                 id="crop-index-out-of-range"),
+])
+def test_rows_off_one_row_per_crop_are_a_data_error_naming_the_line(tmp_path, edit, line,
+                                                                    what):
+    path = tmp_path / "features.csv"
+    write_feature_table(feature_table(np.ones((16, 2))), path)
+    rewrite_lines(path, edit)
+    with pytest.raises(DataError, match=re.escape(f"{path}: line {line}") + ".*" + what):
+        read_feature_table(path, "deep")
 
 
 def test_text_is_utf8(tmp_path):
