@@ -92,6 +92,9 @@ def generate_scan(spec: CohortSpec, index: int) -> tuple[Grid, Grid, Grid]:
     then four noise blocks (background, blob texture, background-channel
     logit, tumor-channel logit). Changing any earlier draw shifts the rest,
     which is fine: determinism is per (spec, index), not across specs.
+    The texture block is evaluated only inside the blobs, the one place the
+    scan keeps it (``SplitMix64.normal_block_at``); the stream still moves
+    past the whole block.
     """
     rng = SplitMix64(derive(spec.seed, "scan", index))
     dims = spec.dims
@@ -105,24 +108,27 @@ def generate_scan(spec: CohortSpec, index: int) -> tuple[Grid, Grid, Grid]:
             rng.randint(math.ceil(r), d - 1 - math.ceil(r)) for r, d in zip(radii, dims)
         ]
         _paint_ellipsoid(mask, center, radii)
+    inside = np.flatnonzero(mask)
 
-    bg_noise = rng.normal_block(n_vox).reshape(dims)
-    tex_noise = rng.normal_block(n_vox).reshape(dims)
-    logit_noise_bg = rng.normal_block(n_vox).reshape(dims)
-    logit_noise_tum = rng.normal_block(n_vox).reshape(dims)
+    volume = rng.normal_block(n_vox)
+    volume *= spec.background_std
+    volume += spec.background_mean
+    texture = rng.normal_block_at(n_vox, inside)
+    volume[inside] = volume[inside] + spec.texture_mean + spec.texture_std * texture
+    np.clip(volume, 0.0, 1.0, out=volume)
 
-    volume = spec.background_mean + spec.background_std * bg_noise
-    volume = np.where(mask, volume + spec.texture_mean + spec.texture_std * tex_noise, volume)
-    volume = np.clip(volume, 0.0, 1.0)
-
-    signal = np.where(mask, 1.0, -1.0)
-    tumor_logit = LOGIT_GAIN * signal + LOGIT_NOISE_STD * logit_noise_tum
+    # channel 0 is the background logit, channel 1 the tumor logit: +GAIN
+    # inside the blobs (plus any miscalibration) and -GAIN outside
+    logits = np.empty((2, n_vox))
+    np.multiply(rng.normal_block(n_vox), LOGIT_NOISE_STD, out=logits[0])
+    tumor = np.multiply(rng.normal_block(n_vox), LOGIT_NOISE_STD, out=logits[1])
+    hot = tumor[inside] + LOGIT_GAIN
     if spec.logit_miscalibration > 0.0:
-        tumor_logit = tumor_logit + spec.logit_miscalibration * mask
-    background_logit = LOGIT_NOISE_STD * logit_noise_bg
-
-    logits = np.stack([background_logit, tumor_logit])
-    return Grid(volume, spec.spacing), Grid(mask, spec.spacing), Grid(logits, spec.spacing)
+        hot += spec.logit_miscalibration
+    tumor -= LOGIT_GAIN
+    tumor[inside] = hot
+    return (Grid(volume.reshape(dims), spec.spacing), Grid(mask, spec.spacing),
+            Grid(logits.reshape((2,) + dims), spec.spacing))
 
 
 def make_cohort(specs: list[CohortSpec], out_dir, map_fn=map) -> CohortManifest:

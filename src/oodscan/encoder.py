@@ -13,6 +13,7 @@ five channel-major ``Grid`` stages plus their downsampling factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,17 +61,21 @@ def avg_pool3(arr: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@functools.cache
 def stage_weights(cfg: ToyEncoderConfig, stage_index: int, fan_in: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed linear map for one stage, drawn from the documented stream.
 
     Entries are uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); the weight matrix
-    comes first in row-major (out, in) order, then the bias vector.
+    comes first in row-major (out, in) order, then the bias vector. Drawn
+    once per (cfg, stage_index, fan_in) and shared by every scan, so both
+    arrays are read-only.
     """
     out = cfg.widths[stage_index]
     rng = SplitMix64(derive(cfg.seed, "encoder", stage_index))
     bound = 1.0 / math.sqrt(fan_in)
     w = rng.uniform_block(out * fan_in, -bound, bound).reshape(out, fan_in)
     b = rng.uniform_block(out, -bound, bound)
+    w.flags.writeable = b.flags.writeable = False
     return w, b
 
 

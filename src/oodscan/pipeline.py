@@ -82,7 +82,8 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _labelled_table(cfg: RunConfig, manifest: CohortManifest, kind: str) -> FeatureTable:
-    """Read a feature table whose every row's cohort_label matches the manifest."""
+    """Read a feature table with rows for exactly the manifest's scans, each
+    row's cohort_label the manifest's."""
     path = _paths(cfg)[kind]
     table = read_feature_table(path, kind)
     labels = {r.scan_id: r.cohort_label for r in manifest.records}
@@ -90,7 +91,16 @@ def _labelled_table(cfg: RunConfig, manifest: CohortManifest, kind: str) -> Feat
         if labels.get(sid) != label:
             raise DataError(f"{path}: scan {sid!r} is labelled {label!r}, "
                             f"the manifest says {labels.get(sid)!r}")
+    _require_scans(path, "feature rows", manifest, set(table.scan_ids))
     return table
+
+
+def _require_scans(path: Path, what: str, manifest: CohortManifest, present: set) -> None:
+    """Refuse the table at ``path`` when it has no ``what`` for a manifest scan."""
+    missing = [r.scan_id for r in manifest.records if r.scan_id not in present]
+    if missing:
+        raise DataError(f"{path}: no {what} for {len(missing)} manifest scan(s), "
+                        f"first {missing[:3]}")
 
 
 def _check_max_features(cfg: RunConfig, widths: dict[str, int]) -> None:
@@ -207,6 +217,9 @@ def stage_eval(cfg: RunConfig) -> None:
     deep = _labelled_table(cfg, manifest, "deep")
     radiomics = _labelled_table(cfg, manifest, "radiomics")
     baselines = read_scores_csv(paths["scores"])
+    for method in SCORE_METHODS:
+        _require_scans(paths["scores"], f"{method} score", manifest,
+                       set(baselines.get(method, ())))
     _check_max_features(cfg, {str(paths["deep"]): len(deep.names),
                               f"{paths['radiomics']} after rfe_target {cfg.rfe_target}":
                               fitted_width(len(radiomics.names), cfg.rfe_target)})

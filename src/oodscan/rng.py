@@ -67,6 +67,13 @@ def _keep(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return words - rem <= -bounds, rem
 
 
+def _box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius r and angle t of the Box-Muller pairs of uint64 words (a, b)."""
+    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+    u2 = (b >> np.uint64(11)).astype(np.float64) * _INV53
+    return np.sqrt(-2.0 * np.log(u1)), (2.0 * math.pi) * u2
+
+
 def _fnv1a(data: bytes) -> int:
     h = _FNV_OFFSET
     for b in data:
@@ -148,14 +155,25 @@ class SplitMix64:
         """
         pairs = (n + 1) // 2
         words = self.u64_block(2 * pairs)
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _INV53
-        r = np.sqrt(-2.0 * np.log(u1))
-        t = (2.0 * math.pi) * u2
+        r, t = _box_muller(words[0::2], words[1::2])
         out = np.empty(2 * pairs, dtype=np.float64)
         out[0::2] = r * np.cos(t)
         out[1::2] = r * np.sin(t)
         return out[:n]
+
+    def normal_block_at(self, n: int, idx: np.ndarray) -> np.ndarray:
+        """``normal_block(n)[idx]`` bit for bit, drawing only the pairs it keeps:
+        output i comes from words 2 (i // 2) + 1 and 2 (i // 2) + 2. The state
+        still advances past the whole block."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise ValueError("normal_block_at() indices must lie in [0, n)")
+        first = (idx & -2).astype(np.uint64) + np.uint64(1)
+        words = _mix_block(np.add.outer(first, np.arange(2, dtype=np.uint64)) * _U64_GOLDEN
+                           + np.uint64(self._state))
+        self._state = (self._state + 2 * ((n + 1) // 2) * _GOLDEN) & _MASK64
+        r, t = _box_muller(words[:, 0], words[:, 1])
+        return r * np.where(idx & 1, np.sin(t), np.cos(t))
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""

@@ -153,7 +153,7 @@ def _plan_block(forest: Forest, roots: np.ndarray, leaves: np.ndarray) -> _Block
         # a path holds each feature once; the dummy at position 0 never matches
         match = feat[:, 1:] == f[:, None]
         unwind = np.flatnonzero(match.any(axis=1)).astype(np.int32)
-        at = (np.nonzero(match[unwind])[1] + 1).astype(np.int32)
+        at = (np.flatnonzero(match[unwind]) % match.shape[1] + 1).astype(np.int32)
         unwind_zero = zero[unwind, at]
         levels.append(_Level(parent=parent, left=left, sibling_leaves=sibling_leaves,
                              zero=new_zero, depth=depth, feature=f,

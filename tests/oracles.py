@@ -352,6 +352,46 @@ def padded_window_crop_features(stages, factors, mask, crops) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+# --- synthetic scans -------------------------------------------------------
+
+def four_block_scan(spec, index: int):
+    """(volume, mask, logits) of scan ``index`` built from four full noise
+    blocks, whole-volume ``np.where`` and ``np.stack``: the draw order and
+    arithmetic ``cohorts.generate_scan`` keeps without drawing the texture
+    block outside the blobs."""
+    from oodscan.cohorts import LOGIT_GAIN, LOGIT_NOISE_STD, _paint_ellipsoid
+    from oodscan.rng import SplitMix64, derive
+    from oodscan.volumes import Grid
+
+    rng = SplitMix64(derive(spec.seed, "scan", index))
+    dims = spec.dims
+    n_vox = dims[0] * dims[1] * dims[2]
+    n_blobs = rng.randint(spec.blob_count[0], spec.blob_count[1])
+    mask = np.zeros(dims, dtype=bool)
+    for _ in range(n_blobs):
+        radii = [rng.uniform(spec.blob_radius[0], spec.blob_radius[1]) for _ in range(3)]
+        center = [rng.randint(math.ceil(r), d - 1 - math.ceil(r)) for r, d in zip(radii, dims)]
+        _paint_ellipsoid(mask, center, radii)
+
+    bg_noise = rng.normal_block(n_vox).reshape(dims)
+    tex_noise = rng.normal_block(n_vox).reshape(dims)
+    logit_noise_bg = rng.normal_block(n_vox).reshape(dims)
+    logit_noise_tum = rng.normal_block(n_vox).reshape(dims)
+
+    volume = spec.background_mean + spec.background_std * bg_noise
+    volume = np.where(mask, volume + spec.texture_mean + spec.texture_std * tex_noise, volume)
+    volume = np.clip(volume, 0.0, 1.0)
+
+    signal = np.where(mask, 1.0, -1.0)
+    tumor_logit = LOGIT_GAIN * signal + LOGIT_NOISE_STD * logit_noise_tum
+    if spec.logit_miscalibration > 0.0:
+        tumor_logit = tumor_logit + spec.logit_miscalibration * mask
+    background_logit = LOGIT_NOISE_STD * logit_noise_bg
+
+    logits = np.stack([background_logit, tumor_logit])
+    return Grid(volume, spec.spacing), Grid(mask, spec.spacing), Grid(logits, spec.spacing)
+
+
 # --- radiomics shape -------------------------------------------------------
 
 def padded_diff_surface_area(mask: np.ndarray, spacing) -> float:

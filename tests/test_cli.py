@@ -176,6 +176,14 @@ def _drop_last_line(text: str) -> str:
     return "".join(text.splitlines(keepends=True)[:-1])
 
 
+def _drop_scan(scan_id: str):
+    """Drop every CSV line of one scan."""
+    def edit(text: str) -> str:
+        return "".join(ln for ln in text.splitlines(keepends=True)
+                       if not ln.startswith(f"{scan_id},"))
+    return edit
+
+
 def _relabel_ood_as_id(text: str) -> str:
     return text.replace(",OOD,", ",ID,")
 
@@ -211,6 +219,7 @@ def _edit_manifest(edit):
                  id="per-seed-unknown-method"),
     pytest.param("eval", "scores.csv", _edit_field(1, 3, "nan"), id="scores-nan"),
     pytest.param("eval", "scores.csv", _append_copy(1, "123.0"), id="scores-duplicate-row"),
+    pytest.param("eval", "scores.csv", _drop_scan("lung_0003"), id="scores-missing-scan"),
     pytest.param("eval", "features_deep.csv", _append_copy(1), id="features-duplicate-row"),
     pytest.param("eval", "features_deep.csv", _drop_last_line, id="features-scan-short-a-crop"),
     pytest.param("train", "features_deep.csv", _edit_field(2, 5, "nan"), id="features-nan"),
@@ -218,6 +227,8 @@ def _edit_manifest(edit):
                  id="features-short-row"),
     pytest.param("train", "features_deep.csv", _edit_field(2, 5, "0x1p3"),
                  id="features-non-numeric"),
+    pytest.param("train", "features_deep.csv", _drop_scan("lung_0003"),
+                 id="features-missing-scan"),
     pytest.param("train", "features_deep.csv", _relabel_ood_as_id, id="train-labels-off-manifest"),
     pytest.param("eval", "features_deep.csv", _relabel_ood_as_id, id="eval-labels-off-manifest"),
     pytest.param("ablate", "features_deep.csv", _relabel_ood_as_id,

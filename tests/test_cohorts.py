@@ -8,7 +8,7 @@ import pytest
 from oodscan.cohorts import CohortSpec, generate_scan, make_cohort
 from oodscan.errors import ConfigError
 
-from oracles import digital_ellipsoid_count
+from oracles import digital_ellipsoid_count, four_block_scan
 from test_acceptance import ABLATION_CONFIG, SEPARABILITY_CONFIG
 
 
@@ -35,6 +35,25 @@ def test_determinism_bit_identical():
         assert np.array_equal(x.data, y.data)
     c = generate_scan(s, 2)
     assert not np.array_equal(a[0].data, c[0].data)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(cohort_label="OOD", logit_miscalibration=3.0),
+    dict(cohort_label="OOD", logit_miscalibration=0.25, blob_count=(4, 6), texture_std=0.4,
+         background_mean=0.9),
+    dict(blob_count=(0, 0)),
+    dict(blob_count=(0, 0), logit_miscalibration=2.0, dims=(9, 11, 13),
+         blob_radius=(1.0, 2.0)),
+    dict(blob_count=(1, 2), dims=(7, 9, 9), blob_radius=(1.0, 3.0)),  # an odd voxel count
+])
+def test_scan_bytes_equal_four_full_blocks(overrides):
+    s = spec(n_scans=3, **overrides)
+    for i in range(s.n_scans):
+        for got, want in zip(generate_scan(s, i), four_block_scan(s, i)):
+            assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.spacing == want.spacing
 
 
 def test_no_blobs_background_only():

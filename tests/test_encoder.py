@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oodscan.encoder import ToyEncoderConfig, avg_pool3, toy_encode
+from oodscan.encoder import ToyEncoderConfig, avg_pool3, stage_weights, toy_encode
 from oodscan.errors import ConfigError
+from oodscan.rng import SplitMix64, derive
 from oodscan.volumes import Grid
 
 
@@ -72,3 +73,17 @@ def test_pyramid_values_bounded_by_tanh():
     pyr = toy_encode(volume((16, 16, 16), seed=7), ToyEncoderConfig())
     for stage in pyr.stages:
         assert np.abs(stage.data).max() <= 1.0
+
+
+def test_stage_weights_are_read_only_and_equal_a_fresh_draw():
+    cfg = ToyEncoderConfig(widths=(4, 4, 8, 8, 16), seed=9)
+    for stage, fan_in in enumerate((1, 4, 4, 8, 8)):
+        w, b = stage_weights(cfg, stage, fan_in)
+        assert stage_weights(cfg, stage, fan_in)[0] is w
+        assert not w.flags.writeable and not b.flags.writeable
+        rng = SplitMix64(derive(cfg.seed, "encoder", stage))
+        bound = 1.0 / np.sqrt(fan_in)
+        out = cfg.widths[stage]
+        assert w.tobytes() == rng.uniform_block(out * fan_in, -bound, bound).tobytes()
+        assert w.shape == (out, fan_in)
+        assert b.tobytes() == rng.uniform_block(out, -bound, bound).tobytes()

@@ -48,6 +48,34 @@ def test_normal_block_moments():
     assert np.all(np.isfinite(vals))
 
 
+def assert_normal_block_at_equals_full_block(seed, n, idx):
+    idx = np.array(idx, dtype=np.intp)
+    full, sparse = SplitMix64(seed), SplitMix64(seed)
+    expect = full.normal_block(n)[idx]
+    assert sparse.normal_block_at(n, idx).tobytes() == expect.tobytes()
+    assert sparse.next_u64() == full.next_u64()
+
+
+@given(SEEDS, st.integers(1, 300), st.data())
+def test_normal_block_at_equals_full_block(seed, n, data):
+    idx = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    assert_normal_block_at_equals_full_block(seed, n, idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 32768])
+@pytest.mark.parametrize("which", ["none", "last", "all", "unsorted"])
+def test_normal_block_at_edge_indices(n, which):
+    idx = {"none": [], "last": [n - 1], "all": range(n),
+           "unsorted": [n - 1, 0, n // 2, n - 1]}[which]
+    assert_normal_block_at_equals_full_block(0xC0FFEE + n, n, list(idx))
+
+
+def test_normal_block_at_rejects_indices_outside_the_block():
+    for idx in ([-1], [4]):
+        with pytest.raises(ValueError, match="must lie in"):
+            SplitMix64(1).normal_block_at(4, np.array(idx))
+
+
 def test_randint_covers_inclusive_range():
     r = SplitMix64(5)
     seen = {r.randint(-2, 2) for _ in range(500)}
