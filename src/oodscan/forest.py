@@ -54,9 +54,7 @@ class RFParams:
             raise ValueError("max_features must be 'sqrt' or a positive count")
 
     def resolve_max_features(self, d: int) -> int:
-        if self.max_features == "sqrt":
-            return max(1, int(math.isqrt(d)))
-        m = int(self.max_features)
+        m = max(1, math.isqrt(d)) if self.max_features == "sqrt" else int(self.max_features)
         if not 1 <= m <= d:
             raise ValueError(f"max_features {m} out of range for {d} features")
         return m

@@ -82,10 +82,12 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _labelled_table(cfg: RunConfig, manifest: CohortManifest, kind: str) -> FeatureTable:
-    """Read a feature table with rows for exactly the manifest's scans, each
-    row's cohort_label the manifest's."""
+    """Read a feature table with a feature column and rows for exactly the
+    manifest's scans, each row's cohort_label the manifest's."""
     path = _paths(cfg)[kind]
     table = read_feature_table(path, kind)
+    if not table.names:
+        raise DataError(f"{path}: no feature columns")
     labels = {r.scan_id: r.cohort_label for r in manifest.records}
     for sid, label in zip(table.scan_ids, table.labels):
         if labels.get(sid) != label:

@@ -157,7 +157,8 @@ def repeated_split_eval(
     baseline_scores: dict[str, dict[str, float]] | None = None,
 ) -> EvalReport:
     """The protocol as ``cfg`` sets it (``forest``, ``protocol``, ``rfe_target``
-    and ``rfe_step``) over the given tables."""
+    and ``rfe_step``) over the given tables, which must cover every manifest
+    scan: the pipeline checks that where it reads them."""
     train_frac, n_seeds, base_seed = (cfg.protocol.train_frac, cfg.protocol.n_seeds,
                                       cfg.protocol.base_seed)
     id_cohorts = manifest.cohort_names(label="ID")
@@ -167,7 +168,6 @@ def repeated_split_eval(
         raise DataError("evaluation needs at least one ID scan and one OOD cohort")
     cohort_ids = {c: [r.scan_id for r in manifest.by_cohort(c)]
                   for c in id_cohorts + ood_cohorts}
-    label_by_scan = {r.scan_id: r.cohort_label for r in manifest.records}
 
     tables = {"rf_deep": deep_table, "rf_radiomics": radiomics_table}
     for method in methods:
@@ -176,13 +176,6 @@ def repeated_split_eval(
         if method in BASELINE_METHODS:
             if baseline_scores is None or method not in baseline_scores:
                 raise DataError(f"method {method} requires baseline scores")
-        if method in RF_METHODS:
-            covered = set(tables[method].scan_ids)
-            missing = [s for s in label_by_scan if s not in covered]
-            if missing:
-                raise DataError(
-                    f"feature table for {method} is missing scans {missing[:3]}"
-                )
 
     results: dict = {}
 
@@ -193,11 +186,7 @@ def repeated_split_eval(
         per_scan = baseline_scores[method]
         for cohort in ood_cohorts:
             sids = id_ids + cohort_ids[cohort]
-            try:
-                vals = [per_scan[s] for s in sids]
-            except KeyError as exc:
-                raise DataError(
-                    f"baseline {method}: missing score for scan {exc}") from exc
+            vals = [per_scan[s] for s in sids]
             labels = [0] * len(id_ids) + [1] * len(cohort_ids[cohort])
             a, f = _metrics_pct(labels, vals)
             results[(method, cohort)] = MethodCohortResult(

@@ -6,17 +6,17 @@ AUROC/FPR95 column pair per OOD cohort.
 
 from __future__ import annotations
 
-import csv
-
 from .atomic import write_text_atomic
 from .errors import DataError
 from .protocol import DISPLAY_NAMES, EvalReport, MethodCohortResult
-from .tables import csv_writer, finite_float, format_float
+from .tables import csv_writer, finite_float, format_float, read_rows
+
+PER_SEED_COLUMNS = ["seed", "method", "cohort", "auroc", "fpr95"]
 
 
 def write_per_seed_csv(report: EvalReport, path) -> None:
     with csv_writer(path) as writer:
-        writer.writerow(["seed", "method", "cohort", "auroc", "fpr95"])
+        writer.writerow(PER_SEED_COLUMNS)
         n_seeds = report.protocol.get("n_seeds", 0)
         for seed in range(n_seeds):
             for method in report.methods:
@@ -27,55 +27,33 @@ def write_per_seed_csv(report: EvalReport, path) -> None:
 
 
 def read_per_seed_csv(path) -> EvalReport:
-    """Rebuild an EvalReport from a per-seed CSV (for `report`/`ablate` reuse)."""
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["seed", "method", "cohort", "auroc", "fpr95"]:
-                raise DataError(f"{path}: not a per-seed metrics table")
-            for seed, method, cohort, a, f in reader:
-                rows.append((int(seed), method, cohort, finite_float(a),
-                             finite_float(f)))
-    except OSError as exc:
-        raise DataError(f"cannot read per-seed table {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed per-seed table: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty per-seed table")
-
+    """Rebuild an EvalReport from a per-seed CSV (for `report`/`ablate` reuse).
+    The table must hold one row for each seed 0..n-1, method and cohort."""
     by_display = {v: k for k, v in DISPLAY_NAMES.items()}
-    methods, cohorts, per_seed = [], [], {}
-    seeds = [r[0] for r in rows]
-    if min(seeds) < 0:
-        raise DataError(f"{path}: negative seed {min(seeds)}")
-    n_seeds = max(seeds) + 1
-    for seed, method_disp, cohort, a, f in rows:
+
+    def parse(fields):
+        seed, method_disp, cohort, a, f = fields
         method = by_display.get(method_disp, method_disp)
         if method not in DISPLAY_NAMES:
-            raise DataError(f"{path}: unknown method {method_disp!r}")
-        if method not in methods:
-            methods.append(method)
-        if cohort not in cohorts:
-            cohorts.append(cohort)
-        vals = per_seed.setdefault((method, cohort), [None] * n_seeds)
-        if vals[seed] is not None:
-            raise DataError(f"{path}: duplicate row for seed {seed}, "
-                            f"method {method_disp}, cohort {cohort}")
-        vals[seed] = (a, f)
-    for method in methods:
-        for cohort in cohorts:
-            vals = per_seed.get((method, cohort), [None] * n_seeds)
-            if None in vals:
-                raise DataError(f"{path}: no row for seed {vals.index(None)}, "
-                                f"method {DISPLAY_NAMES[method]}, cohort {cohort}")
-    results = {
-        key: MethodCohortResult(per_seed=tuple(vals))
-        for key, vals in per_seed.items()
-    }
-    return EvalReport(methods=tuple(methods), cohorts=tuple(cohorts),
-                      results=results, protocol={"n_seeds": n_seeds})
+            raise ValueError(f"unknown method {method_disp!r}")
+        if int(seed) < 0:
+            raise ValueError(f"negative seed {seed}")
+        return int(seed), method, cohort, finite_float(a), finite_float(f)
+
+    rows = [row for _, row in read_rows(
+        path, "per-seed table", PER_SEED_COLUMNS, parse,
+        lambda row: f"seed {row[0]}, method {DISPLAY_NAMES[row[1]]}, cohort {row[2]!r}")[1]]
+    methods = list(dict.fromkeys(row[1] for row in rows))
+    cohorts = list(dict.fromkeys(row[2] for row in rows))
+    # the rows are unique, so this many of them are every (seed, method, cohort)
+    n_seeds = max(row[0] for row in rows) + 1
+    if len(rows) != n_seeds * len(methods) * len(cohorts):
+        raise DataError(f"{path}: {len(rows)} rows, not one for each of {n_seeds} "
+                        f"seeds x {len(methods)} methods x {len(cohorts)} cohorts")
+    cells = {row[:3]: row[3:] for row in rows}
+    return EvalReport(methods=tuple(methods), cohorts=tuple(cohorts), results={
+        (m, c): MethodCohortResult(per_seed=tuple(cells[(s, m, c)] for s in range(n_seeds)))
+        for m in methods for c in cohorts}, protocol={"n_seeds": n_seeds})
 
 
 def _write_metric_table(path, first_column: str, cohorts, rows) -> None:

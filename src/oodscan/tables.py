@@ -1,7 +1,9 @@
 """CSV artifacts: feature tables, score tables, per-seed and summary reports.
 
 Floats are written with ``repr`` (shortest round-trip form) so identical
-computations always serialize to identical bytes.
+computations always serialize to identical bytes. Every table is read
+through ``read_rows``, which holds the one rule for header, field count,
+repeated rows and the error that names the failing file and line.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import DataError
+
+
+FEATURE_ID_COLUMNS = ["scan_id", "cohort_label", "crop_index"]
+SCORE_COLUMNS = ["scan_id", "cohort_label", "method", "value", "fallback_used"]
 
 
 def format_float(v: float) -> str:
@@ -67,8 +73,7 @@ def write_feature_table(table: FeatureTable, path) -> None:
     only the three ids go through ``csv.writer``, and the floats follow as
     one joined string, since the ``repr`` of a float never needs quoting."""
     with atomic_open(path, newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            ["scan_id", "cohort_label", "crop_index", *table.names])
+        csv.writer(fh, lineterminator="\n").writerow([*FEATURE_ID_COLUMNS, *table.names])
         # csv.writer quotes a field that holds a character of its line end, so
         # the ids keep the "\n" end, which is cut off before the floats
         head: list[str] = []
@@ -82,80 +87,90 @@ def write_feature_table(table: FeatureTable, path) -> None:
             fh.write(head.pop()[:-1] + sep + ",".join(map(repr, row.tolist())) + "\n")
 
 
-def read_feature_table(path, kind: str) -> FeatureTable:
-    """Cells are parsed into one float64 buffer: per-row lists of Python
-    floats would take 5.5 times the matrix on a 1,440 x 129 table.
-
-    Every scan must have one row for each crop index 0..k-1, with the same k
-    for all scans.
+def read_rows(path, what: str, header: list[str], parse, key) -> tuple[list[str], list]:
+    """The header of the CSV table ``path`` (``what`` in errors) and, in file
+    order, ``(line, parse(fields))`` for each row, under the one rule for
+    every table the package reads:
+    - the header starts with the writer's fixed columns ``header``;
+    - every row has the header's field count;
+    - ``parse(fields)`` is the only place a row is converted;
+    - a second row with the same ``key(parse(fields))``, a text naming the
+      row, is refused, and so is a table with a header and no rows;
+    - every OSError, ValueError (a byte that is not UTF-8 is one) or
+      ``csv.Error`` is a DataError naming the file and, past the header, the line.
     """
     path = Path(path)
+    columns, rows = None, {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:3] != ["scan_id", "cohort_label", "crop_index"]:
-                raise DataError(f"{path}: not a feature table")
-            names = tuple(header[3:])
-            scan_ids, labels, crops, values = [], [], [], array("d")
-            scan_crops: dict[str, tuple[int, set[int]]] = {}  # first line, crops
-            for line in reader:
-                if len(line) != len(header):
-                    raise DataError(f"{path}: line {reader.line_num} has "
-                                    f"{len(line)} fields, the header {len(header)}")
-                crop = int(line[2])
-                seen = scan_crops.setdefault(line[0], (reader.line_num, set()))[1]
-                if crop in seen:
-                    raise DataError(f"{path}: line {reader.line_num} repeats crop "
-                                    f"{crop} of scan {line[0]!r}")
-                seen.add(crop)
-                scan_ids.append(line[0])
-                labels.append(line[1])
-                crops.append(crop)
-                values.extend(map(float, line[3:]))
-        if not scan_ids:
-            raise DataError(f"{path}: empty feature table")
-        k = len(scan_crops[scan_ids[0]][1])
-        for sid, (line_num, seen) in scan_crops.items():
-            if seen != set(range(k)):
-                raise DataError(f"{path}: line {line_num}: scan {sid!r} has crop indices "
-                                f"{sorted(seen)}, not 0..{k - 1} (the first scan has "
-                                f"{k} rows)")
-        return FeatureTable(kind=kind, names=names, scan_ids=tuple(scan_ids),
-                            labels=tuple(labels), crop_indices=tuple(crops),
-                            values=np.frombuffer(values, dtype=np.float64)
-                            .reshape(len(scan_ids), len(names)))
-    except OSError as exc:
-        raise DataError(f"cannot read feature table {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed feature table: {exc}") from exc
+            columns = next(reader, None)
+            if columns is None or columns[:len(header)] != header:
+                raise DataError(f"{path}: not a {what}")
+            for fields in reader:
+                if len(fields) != len(columns):
+                    raise ValueError(f"{len(fields)} fields, the header {len(columns)}")
+                row = parse(fields)
+                if (name := key(row)) in rows:
+                    raise ValueError(f"repeats {name}")
+                rows[name] = (reader.line_num, row)
+    except (OSError, ValueError, csv.Error) as exc:
+        where = "" if columns is None else f"line {reader.line_num}: "
+        raise DataError(f"{path}: {where}cannot read {what}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty {what}")
+    return columns, list(rows.values())
+
+
+def read_feature_table(path, kind: str) -> FeatureTable:
+    """Every scan must have one row for each crop index 0..k-1, with one k for
+    the table. Cells go into one float64 buffer: per-row lists of Python
+    floats would take 5.5 times the matrix on a 1,440 x 129 table."""
+    values = array("d")
+
+    def parse(fields):
+        crop = int(fields[2])
+        values.extend(map(float, fields[3:]))
+        return fields[0], fields[1], crop
+
+    header, rows = read_rows(path, "feature table", FEATURE_ID_COLUMNS, parse,
+                             lambda row: f"crop {row[2]} of scan {row[0]!r}")
+    scan_crops: dict[str, tuple[int, set[int]]] = {}  # first line, crops
+    for line_num, (sid, _label, crop) in rows:
+        scan_crops.setdefault(sid, (line_num, set()))[1].add(crop)
+    k = len(next(iter(scan_crops.values()))[1])
+    for sid, (line_num, seen) in scan_crops.items():
+        if seen != set(range(k)):
+            raise DataError(f"{path}: line {line_num}: scan {sid!r} has crop indices "
+                            f"{sorted(seen)}, not 0..{k - 1} (the first scan has "
+                            f"{k} rows)")
+    scan_ids, labels, crops = zip(*(row for _, row in rows))
+    names = tuple(header[3:])
+    try:
+        return FeatureTable(kind=kind, names=names, scan_ids=scan_ids, labels=labels,
+                            crop_indices=crops, values=np.frombuffer(values, dtype=np.float64)
+                            .reshape(len(rows), len(names)))
+    except ValueError as exc:  # a cell that is not finite
+        raise DataError(f"{path}: cannot read feature table: {exc}") from exc
 
 
 def write_scores_csv(rows: list, path) -> None:
     """rows: (scan_id, cohort_label, method, value, fallback_used)."""
     with csv_writer(path) as writer:
-        writer.writerow(["scan_id", "cohort_label", "method", "value", "fallback_used"])
+        writer.writerow(SCORE_COLUMNS)
         for sid, label, method, value, fb in rows:
             writer.writerow([sid, label, method, format_float(value), int(fb)])
 
 
 def read_scores_csv(path) -> dict[str, dict[str, float]]:
     """method -> scan_id -> value."""
+    def parse(fields):
+        sid, _label, method, value, _fb = fields
+        return sid, method, finite_float(value)
+
     out: dict[str, dict[str, float]] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[0] != "scan_id":
-                raise DataError(f"{path}: not a score table")
-            for sid, _label, method, value, _fb in reader:
-                scans = out.setdefault(method, {})
-                if sid in scans:
-                    raise DataError(f"{path}: line {reader.line_num} repeats the "
-                                    f"{method} score of scan {sid!r}")
-                scans[sid] = finite_float(value)
-    except OSError as exc:
-        raise DataError(f"cannot read scores {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed score table: {exc}") from exc
+    for _, (sid, method, value) in read_rows(
+            path, "score table", SCORE_COLUMNS, parse,
+            lambda row: f"the {row[1]!r} score of scan {row[0]!r}")[1]:
+        out.setdefault(method, {})[sid] = value
     return out

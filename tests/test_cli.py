@@ -184,6 +184,14 @@ def _drop_scan(scan_id: str):
     return edit
 
 
+def _blank_first_line(text: str) -> str:
+    return "\n" + text
+
+
+def _id_columns_only(text: str) -> str:
+    return "".join(",".join(ln.split(",")[:3]) + "\n" for ln in text.splitlines())
+
+
 def _relabel_ood_as_id(text: str) -> str:
     return text.replace(",OOD,", ",ID,")
 
@@ -217,6 +225,13 @@ def _edit_manifest(edit):
     pytest.param("report", "per_seed.csv", _edit_field(1, 3, "nan"), id="per-seed-nan"),
     pytest.param("report", "per_seed.csv", _edit_field(1, 1, "RF-Other"),
                  id="per-seed-unknown-method"),
+    # seed 10**18 would ask the old reader for a list of 10**18 slots
+    pytest.param("report", "per_seed.csv", lambda text: text.replace("\n1,", f"\n{10**18},"),
+                 id="per-seed-huge-seed"),
+    pytest.param("report", "per_seed.csv", _blank_first_line, id="per-seed-blank-header"),
+    pytest.param("eval", "scores.csv", _blank_first_line, id="scores-blank-header"),
+    pytest.param("train", "features_deep.csv", _blank_first_line, id="features-blank-header"),
+    pytest.param("train", "features_deep.csv", _id_columns_only, id="features-no-columns"),
     pytest.param("eval", "scores.csv", _edit_field(1, 3, "nan"), id="scores-nan"),
     pytest.param("eval", "scores.csv", _append_copy(1, "123.0"), id="scores-duplicate-row"),
     pytest.param("eval", "scores.csv", _drop_scan("lung_0003"), id="scores-missing-scan"),

@@ -491,6 +491,23 @@ def leaf_forest(dists):
                   seed=0, params=RFParams(n_trees=len(dists)))
 
 
+@pytest.mark.parametrize("max_features, d, m", [
+    pytest.param("sqrt", 10, 3, id="sqrt"),
+    pytest.param("sqrt", 1, 1, id="sqrt of one"),
+    pytest.param(4, 4, 4, id="count"),
+    pytest.param("sqrt", 0, None, id="rejects d=0"),
+    pytest.param(1, 0, None, id="count rejects d=0"),
+    pytest.param(5, 4, None, id="count rejects m>d"),
+])
+def test_resolve_max_features(max_features, d, m):
+    params = RFParams(max_features=max_features)
+    if m is None:
+        with pytest.raises(ValueError, match=f"out of range for {d} features"):
+            params.resolve_max_features(d)
+    else:
+        assert params.resolve_max_features(d) == m
+
+
 def test_identical_leaf_trees():
     forest = leaf_forest([(0.3, 0.7)] * 5)
     assert predict_proba(forest, np.array([0.0])) == pytest.approx((0.3, 0.7))

@@ -1,10 +1,11 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oodscan import parallel
+from oodscan import parallel, pipeline
 from oodscan.cli import main
 from oodscan.config import ProtocolConfig, RunConfig
 from oodscan.errors import DataError
@@ -12,7 +13,7 @@ from oodscan.forest import RFParams
 from oodscan.manifest import CohortManifest, ScanRecord
 from oodscan.protocol import repeated_split_eval, split_cohort
 from oodscan.rng import SplitMix64, derive
-from oodscan.tables import FeatureTable
+from oodscan.tables import FeatureTable, write_feature_table
 from test_cli import write_config
 
 
@@ -137,17 +138,22 @@ def test_rf_methods_vary_across_seeds_with_weak_features():
     assert len(set(res.per_seed)) > 1  # different splits, different metrics
 
 
-def test_missing_feature_rows_detected():
+def test_missing_feature_rows_detected(tmp_path):
+    """The protocol trusts its tables to cover the manifest; the pipeline
+    refuses a table short of two scans where it reads it, naming the file."""
     manifest = fake_manifest()
     deep, rad = feature_tables(manifest)
     trimmed = FeatureTable(
         kind="deep", names=deep.names,
-        scan_ids=deep.scan_ids[2:], labels=deep.labels[2:],
-        crop_indices=deep.crop_indices[2:], values=deep.values[2:],
+        scan_ids=deep.scan_ids[4:], labels=deep.labels[4:],
+        crop_indices=deep.crop_indices[4:], values=deep.values[4:],
     )
-    with pytest.raises(DataError, match="missing scans"):
-        repeated_split_eval(manifest, run_config(1, base_seed=0), ("rf_deep",),
-                            deep_table=trimmed)
+    cfg = RunConfig(work_dir=tmp_path, manifest=tmp_path / "manifest.json")
+    write_feature_table(trimmed, tmp_path / "features_deep.csv")
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / "features_deep.csv"))
+                       + r": no feature rows for 2 manifest scan\(s\), first "
+                       r"\['lung_0000', 'lung_0001'\]"):
+        pipeline._labelled_table(cfg, manifest, "deep")
 
 
 def test_missing_baseline_scores_detected():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oodscan.errors import DataError
-from oodscan.tables import FeatureTable, read_feature_table, write_feature_table
+from oodscan.report import read_per_seed_csv
+from oodscan.tables import (FeatureTable, read_feature_table, read_scores_csv,
+                            write_feature_table, write_scores_csv)
 
 
 def feature_table(values: np.ndarray) -> FeatureTable:
@@ -126,3 +128,71 @@ def test_read_peaks_below_twice_the_matrix(tmp_path):
         tracemalloc.stop()
     assert table.values.tobytes() == values.tobytes()
     assert peak < 2 * values.nbytes, f"{peak / values.nbytes:.2f} x the matrix"
+
+
+def write_per_seed(path):
+    path.write_text("seed,method,cohort,auroc,fpr95\n" + "".join(
+        f"{seed},RF-Deep,kidney,50.0,10.0\n" for seed in range(3)), encoding="utf-8")
+
+
+# name -> (write a well-formed table, read it); every table has its header on
+# line 1, its first row on line 2 and a number in field 3 of each row
+READERS = {
+    "features": (lambda path: write_feature_table(feature_table(np.ones((8, 2))), path),
+                 lambda path: read_feature_table(path, "deep")),
+    "scores": (lambda path: write_scores_csv(
+        [(f"s{i}", "ID", "energy", float(i), False) for i in range(3)], path),
+               read_scores_csv),
+    "per-seed": (write_per_seed, read_per_seed_csv),
+}
+
+
+def set_field(lines, field, value):
+    fields = lines[1].rstrip(b"\n").split(b",")
+    fields[field] = value
+    return [lines[0], b",".join(fields) + b"\n", *lines[2:]]
+
+
+# (edit of the file's lines, the line the error names or None); a nan in a
+# feature table is refused by FeatureTable, which names the scan instead
+FAULTS = {
+    "header-only": (lambda lines: lines[:1], None),
+    "short-row": (lambda lines: [lines[0], lines[1].rsplit(b",", 1)[0] + b"\n", *lines[2:]],
+                  2),
+    "extra-field": (lambda lines: [lines[0], lines[1][:-1] + b",1\n", *lines[2:]], 2),
+    "repeated-key": (lambda lines: lines + [lines[1]], "last"),
+    "non-number": (lambda lines: set_field(lines, 3, b"abc"), 2),
+    "nan": (lambda lines: set_field(lines, 3, b"nan"), 2),
+    "not-utf8": (lambda lines: set_field(lines, 1, b"\xff"), None),
+    # past csv's default field size limit of 131,072 characters
+    "huge-field": (lambda lines: set_field(lines, 3, b"1" * 200_000), 2),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_refuses_a_malformed_table_naming_the_file(tmp_path, reader, fault):
+    write, read = READERS[reader]
+    edit, line = FAULTS[fault]
+    path = tmp_path / "table.csv"
+    write(path)
+    lines = edit(path.read_bytes().splitlines(keepends=True))
+    path.write_bytes(b"".join(lines))
+    if line == "last":
+        line = len(lines)
+    where = re.escape(str(path)) + (f": line {line}: " if line else "")
+    if (reader, fault) == ("features", "nan"):
+        where = re.escape(str(path)) + ".*scan 's0000'"
+    with pytest.raises(DataError, match=where):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", ["scores", "per-seed"])
+def test_a_column_past_the_writers_is_refused(tmp_path, reader):
+    write, read = READERS[reader]
+    path = tmp_path / "table.csv"
+    write(path)
+    path.write_bytes(b"".join(ln[:-1] + b",x\n"
+                              for ln in path.read_bytes().splitlines(keepends=True)))
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 2: ")):
+        read(path)
