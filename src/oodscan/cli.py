@@ -1,4 +1,4 @@
-"""Command-line interface: one subcommand per pipeline stage.
+"""Command-line interface: a subcommand for each of ``COMMANDS``, and `pipeline`.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 anything else (an
 internal invariant violation). Every failure ends in one machine-readable
@@ -13,15 +13,7 @@ import traceback
 
 from .config import load_config, replace_cohorts
 from .errors import ConfigError, DataError
-from .pipeline import (
-    PIPELINE_STAGES,
-    STAGES,
-    StageError,
-    run_ablate,
-    run_explain,
-    run_pipeline,
-    run_stage,
-)
+from .pipeline import COMMANDS, STAGES, StageError, run_pipeline, run_stage
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,17 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the configured work_dir")
         return p
 
-    for stage in STAGES:
-        p = add(stage.name, stage.help)
-        if stage.name == "gen":
-            p.add_argument("--cohorts", default=None,
-                           help="standalone JSON array of cohort specs "
-                                "(overrides the config's cohorts)")
-    add("ablate", "evaluate rf_deep per encoder stage")
-    explain = add("explain", "write exact per-feature attributions")
-    explain.add_argument("--kind", choices=("deep", "radiomics"), default="deep")
-    explain.add_argument("--limit", type=int, default=None,
-                         help="explain only the first N feature rows")
+    for command in COMMANDS:
+        p = add(command.name, command.help)
+        p.set_defaults(stage=command)
+        for name, kwargs in command.options:
+            p.add_argument(f"--{name}", **kwargs)
+    # a config override, not an option: a bad file is a config error
+    sub.choices["gen"].add_argument("--cohorts", default=None,
+                                    help="standalone JSON array of cohort specs "
+                                         "(overrides the config's cohorts)")
     pipeline = add("pipeline", "run all stages in order, skipping fresh ones")
     pipeline.add_argument("--force", action="store_true",
                           help="re-run stages even when stamps are fresh")
@@ -61,36 +51,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    stage = "config"
     try:
+        # inside the try: a bad option value is a ConfigError, too
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, seed_override=args.seed,
                           workdir_override=args.workdir,
                           threads_override=args.threads)
         if getattr(args, "cohorts", None):
             cfg = replace_cohorts(cfg, args.cohorts)
-        if getattr(args, "limit", None) is not None and args.limit < 0:
-            raise ConfigError(f"--limit must be >= 0, got {args.limit}")
-        stage = args.command
-        if args.command in PIPELINE_STAGES:
-            run_stage(cfg, STAGES[PIPELINE_STAGES.index(args.command)])
-        elif args.command == "ablate":
-            path = run_ablate(cfg)
-            print(f"ablation table written to {path}")
-        elif args.command == "explain":
-            path = run_explain(cfg, kind=args.kind, limit=args.limit)
-            print(f"attributions written to {path}")
-        elif args.command == "pipeline":
+        if args.command == "pipeline":
             ran = run_pipeline(cfg, force=args.force)
-            skipped = [s for s in PIPELINE_STAGES if s not in ran]
+            skipped = [s.name for s in STAGES if s.name not in ran]
             if ran:
                 print(f"ran: {' '.join(ran)}")
             if skipped:
                 print(f"skipped (up to date): {' '.join(skipped)}")
+        else:
+            run_stage(cfg, args.stage, **{name: getattr(args, name)
+                                          for name, _ in args.stage.options})
         return 0
     except Exception as exc:
-        if isinstance(exc, StageError):
-            stage, exc = exc.stage, exc.cause
+        stage, exc = (exc.stage, exc.cause) if isinstance(exc, StageError) else ("config", exc)
         code = 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
         if code == 4:  # a defect, not bad input: keep the traceback
             traceback.print_exception(exc)

@@ -1,9 +1,9 @@
-"""Pipeline stages, declared once in ``STAGES``, and their orchestration.
+"""Commands, declared once in ``COMMANDS``, and `run_stage`, which runs each.
 
-After a stage runs, its stamp records the hash of its config slice and the
-``[size, mtime_ns]`` of every file it read; `pipeline` skips a stage when
-its stamp equals the one it would write now and all its outputs exist.
-Stage failures surface as StageError carrying the stage name.
+After a command runs, its stamp records the hash of its config slice, its
+options and the ``[size, mtime_ns]`` of every file it read. `pipeline` runs
+``STAGES`` and skips one whose stamp equals the one it would write now and
+whose outputs all exist. Failures surface as StageError naming the command.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
         "summary_csv": w / "summary.csv",
         "summary_txt": w / "summary.txt",
         "ablation": w / "ablation.csv",
+        **{f"shap_{kind}": w / f"shap_{kind}.csv" for kind in ("deep", "radiomics")},
     }
 
 
@@ -243,7 +244,7 @@ def stage_report(cfg: RunConfig) -> None:
     print(render_summary_text(report), end="")
 
 
-def run_ablate(cfg: RunConfig) -> Path:
+def stage_ablate(cfg: RunConfig) -> None:
     """Stage-wise evaluation: rf_deep restricted to one stage's features."""
     paths = _paths(cfg)
     manifest = load_manifest(cfg.manifest)
@@ -258,10 +259,9 @@ def run_ablate(cfg: RunConfig) -> Path:
                                                 deep_table=deep.select_columns(keep))
                      for stage, keep in columns.items()}
     write_ablation_csv(stage_reports, paths["ablation"])
-    return paths["ablation"]
 
 
-def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) -> Path:
+def stage_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) -> None:
     """Exact per-feature attributions for every (scan, crop) row."""
     paths = _paths(cfg)
     model_path = paths[f"model_{kind}"]
@@ -269,35 +269,37 @@ def run_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) ->
     forest = load_model(model_path)
     if forest.feature_names != table.names:
         raise DataError(f"model {model_path} was fit on other columns than {paths[kind]}")
-    out_path = cfg.work_dir / f"shap_{kind}.csv"
-    n_rows = len(table.scan_ids) if limit is None else min(limit, len(table.scan_ids))
-    with csv_writer(out_path) as writer:
-        writer.writerow(["scan_id", "crop_index", "base_value", "prediction",
-                         *table.names])
-        for i in range(n_rows):
-            exp = tree_shap(forest, table.values[i])
-            writer.writerow([
-                table.scan_ids[i], table.crop_indices[i],
-                repr(float(exp.base_value)), repr(float(exp.prediction)),
-                *(repr(float(v)) for v in exp.contributions),
-            ])
-    return out_path
+    with csv_writer(paths[f"shap_{kind}"]) as writer:
+        writer.writerow(["scan_id", "crop_index", "base_value", "prediction", *table.names])
+        for sid, crop, row in zip(table.scan_ids[:limit], table.crop_indices, table.values):
+            exp = tree_shap(forest, row)
+            writer.writerow([sid, crop, repr(float(exp.base_value)), repr(float(exp.prediction)),
+                             *(repr(float(v)) for v in exp.contributions)])
+
+
+def _limit(text: str) -> int:
+    """``explain --limit``: argparse's ``int``, but a negative one is a ConfigError."""
+    if (count := int(text)) < 0:
+        raise ConfigError(f"--limit must be >= 0, got {count}")
+    return count
 
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
-    """One pipeline stage and everything its stamp depends on.
+    """One command and everything its stamp depends on.
 
     ``config`` lists dotted RunConfig fields. A name in ``reads`` or
     ``writes`` is a `_paths` key or a ScanRecord field; a field expands over
-    the manifest's records (``pyramid`` to its stage files).
+    the manifest's records (``pyramid`` to its stage files). ``options``, the
+    command's flags as (name, argparse keywords), go to ``run`` and the stamp.
     """
     name: str
     help: str
-    run: Callable[[RunConfig], None]
+    run: Callable[..., None]
     config: tuple[str, ...]
     reads: tuple[str, ...]
     writes: tuple[str, ...]
+    options: tuple[tuple[str, dict], ...] = ()
 
 
 STAGES = (  # in pipeline run order
@@ -320,41 +322,46 @@ STAGES = (  # in pipeline run order
     Stage("report", "render the summary table from per-seed metrics", stage_report,
           ("protocol.n_seeds",), ("per_seed",), ("summary_csv", "summary_txt")),
 )
-PIPELINE_STAGES = tuple(s.name for s in STAGES)
+COMMANDS = STAGES + (  # run by hand only, never by `pipeline`
+    Stage("ablate", "evaluate rf_deep per encoder stage", stage_ablate,
+          ("forest", "protocol", "ablate_stages"), ("manifest", "deep"), ("ablation",)),
+    Stage("explain", "write exact per-feature attributions", stage_explain,
+          (), ("manifest", "{kind}", "model_{kind}"), ("shap_{kind}",),
+          (("kind", {"choices": ("deep", "radiomics"), "default": "deep"}),
+           ("limit", {"type": _limit, "default": None,
+                      "help": "explain only the first N feature rows"}))),
+)
 
 
-def _stamp(cfg: RunConfig, stage: Stage,
-           manifest: CohortManifest | None = None) -> tuple[dict, list[Path]]:
-    """The stamp ``stage`` would write now, and the paths it writes. Reads
+def _files(cfg: RunConfig, names: tuple[str, ...], options: dict,
+           manifest: CohortManifest | None = None) -> list[Path]:
+    """The files that Stage ``names`` stand for under ``options``. Reads
     records from ``manifest``, the parsed ``cfg.manifest``, when given; else
     loads it once, and only when a name is a record field."""
     paths = _paths(cfg)
-    records = ()
-    if not set(stage.reads + stage.writes) <= set(paths):
+    out = []
+    for name in (n.format(**options) for n in names):
+        if name in paths:
+            out.append(paths[name])
+            continue
         if manifest is None:
             manifest = load_manifest(cfg.manifest)
-        records = manifest.records
+        for rec in manifest.records:
+            value = getattr(rec, name)
+            if value is None:
+                raise DataError(f"scan {rec.scan_id!r}: manifest lists no {name}")
+            out.extend(value if isinstance(value, tuple) else (value,))
+    return out
 
-    def expand(names) -> list[Path]:
-        out = []
-        for name in names:
-            if name in paths:
-                out.append(paths[name])
-                continue
-            for rec in records:
-                value = getattr(rec, name)
-                if value is None:
-                    raise DataError(f"scan {rec.scan_id!r}: manifest lists no {name}")
-                out.extend(value if isinstance(value, tuple) else (value,))
-        return out
 
+def _signatures(cfg: RunConfig, files: list[Path]) -> dict[str, list[int]]:
     root = f"{cfg.work_dir}{os.sep}"  # keys relative to it survive moving the work dir
-    signatures = {}
-    for p in expand(stage.reads):
-        st = p.stat()
-        signatures[str(p).removeprefix(root)] = [st.st_size, st.st_mtime_ns]
-    stamp = {"config_hash": cfg.config_hash(stage.config), "reads": signatures}
-    return stamp, expand(stage.writes)
+    return {str(p).removeprefix(root): [(st := p.stat()).st_size, st.st_mtime_ns]
+            for p in files}
+
+
+def _stamp(cfg: RunConfig, stage: Stage, options: dict, reads: dict) -> dict:
+    return {"config_hash": cfg.config_hash(stage.config), "options": options, "reads": reads}
 
 
 def _stamp_path(cfg: RunConfig, stage: Stage) -> Path:
@@ -363,26 +370,39 @@ def _stamp_path(cfg: RunConfig, stage: Stage) -> Path:
 
 def stamp_is_fresh(cfg: RunConfig, stage: Stage,
                    manifest: CohortManifest | None = None) -> bool:
+    """Whether a stage of ``STAGES``, which have no options, may be skipped."""
     try:
         doc = json.loads(_stamp_path(cfg, stage).read_text(encoding="utf-8"))
-        stamp, writes = _stamp(cfg, stage, manifest)
-        return doc == stamp and all(p.exists() for p in writes)
+        reads = _signatures(cfg, _files(cfg, stage.reads, {}, manifest))
+        return doc == _stamp(cfg, stage, {}, reads) and \
+            all(p.exists() for p in _files(cfg, stage.writes, {}, manifest))
     except (OSError, ValueError, DataError):
         return False
 
 
-def run_stage(cfg: RunConfig, stage: Stage) -> None:
-    """Run one stage and stamp it; a stage that fails is left unstamped."""
+def run_stage(cfg: RunConfig, stage: Stage, **options) -> None:
+    """Run one command with ``options``, a value for each of its flags, and
+    stamp what it read as it read it: the inputs it rewrites (encode's
+    manifest) are signed after the run, the others before. A command that
+    fails, or that misses an input before it runs, is left unstamped."""
     stamp_path = _stamp_path(cfg, stage)
-    stamp_path.parent.mkdir(parents=True, exist_ok=True)
-    stamp_path.unlink(missing_ok=True)
+    before = tuple(n for n in stage.reads if n not in stage.writes)
+    after = tuple(n for n in stage.reads if n in stage.writes)
     try:
-        stage.run(cfg)
-        # taken after the run: encode rewrites the manifest it reads
-        stamp = _stamp(cfg, stage)[0]
+        stamp_path.parent.mkdir(parents=True, exist_ok=True)
+        stamp_path.unlink(missing_ok=True)
+        try:
+            reads = _signatures(cfg, _files(cfg, before, options))
+        except (OSError, DataError):
+            reads = None  # the run reports the missing input itself
+        stage.run(cfg, **options)
+        if reads is not None:
+            reads |= _signatures(cfg, _files(cfg, after, options))
     except Exception as exc:
         raise StageError(stage.name, exc) from exc
-    stamp_path.write_text(json.dumps(stamp, indent=2) + "\n", encoding="utf-8")
+    if reads is not None:
+        stamp_path.write_text(json.dumps(_stamp(cfg, stage, options, reads), indent=2) + "\n",
+                              encoding="utf-8")
 
 
 def run_pipeline(cfg: RunConfig, force: bool = False) -> list[str]:

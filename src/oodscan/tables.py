@@ -97,13 +97,14 @@ def read_rows(path, what: str, header: list[str], parse, key) -> tuple[list[str]
     - a second row with the same ``key(parse(fields))``, a text naming the
       row, is refused, and so is a table with a header and no rows;
     - every OSError, ValueError (a byte that is not UTF-8 is one) or
-      ``csv.Error`` is a DataError naming the file and, past the header, the line.
+      ``csv.Error`` is a DataError naming the file and, past the header, the
+      line; each line is decoded on its own, so a bad byte names its line.
     """
     path = Path(path)
     columns, rows = None, {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open(path, "rb") as fh:
+            reader = csv.reader(line.decode("utf-8") for line in fh)
             columns = next(reader, None)
             if columns is None or columns[:len(header)] != header:
                 raise DataError(f"{path}: not a {what}")
@@ -115,7 +116,9 @@ def read_rows(path, what: str, header: list[str], parse, key) -> tuple[list[str]
                     raise ValueError(f"repeats {name}")
                 rows[name] = (reader.line_num, row)
     except (OSError, ValueError, csv.Error) as exc:
-        where = "" if columns is None else f"line {reader.line_num}: "
+        # the reader has not counted a line that failed to decode
+        where = "" if columns is None else \
+            f"line {reader.line_num + isinstance(exc, UnicodeDecodeError)}: "
         raise DataError(f"{path}: {where}cannot read {what}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty {what}")

@@ -281,6 +281,7 @@ def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, ca
     assert f"stage={command}" in err
     assert name in err
     assert err.splitlines()[-1].startswith(f"error stage={command} DataError: ")
+    assert not (run / "work" / ".stamps" / f"{command}.json").exists()
 
 
 def _edit_model(edit):
@@ -400,7 +401,7 @@ def test_pipeline_reruns_exactly_the_stages_whose_inputs_changed(finished_run, t
     assert main(["pipeline", "--config", str(run / "config.json"), *extra]) == 0
     status = [ln for ln in capsys.readouterr().out.splitlines()
               if ln.startswith(("ran:", "skipped"))]
-    skipped = " ".join(s for s in pipeline.PIPELINE_STAGES if s not in ran.split())
+    skipped = " ".join(s.name for s in pipeline.STAGES if s.name not in ran.split())
     assert status == [f"ran: {ran}"] * bool(ran) + \
         [f"skipped (up to date): {skipped}"] * bool(skipped)
     assert (deep.read_bytes() != deep_before) == ("extract" in ran)
@@ -426,6 +427,38 @@ def test_stage_that_fails_midway_is_not_fresh(finished_run, tmp_path, capsys, mo
     assert main(["pipeline", "--config", config]) == 0
     assert "ran: score eval report\n" in capsys.readouterr().out
     assert scores.read_bytes() == scores_before
+
+
+def test_stage_that_rewrites_its_own_input_is_left_stale(finished_run, tmp_path, capsys,
+                                                         monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    config = str(run / "config.json")
+    mask = run / "work" / "kidney_0002_mask.ovf"
+    write_scores_csv = pipeline.write_scores_csv
+
+    def write_then_touch_mask(rows, path):
+        write_scores_csv(rows, path)
+        st = mask.stat()
+        os.utime(mask, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+    monkeypatch.setattr(pipeline, "write_scores_csv", write_then_touch_mask)
+    assert main(["score", "--config", config]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    # the scores were computed from the mask as it was before the run
+    assert main(["pipeline", "--config", config]) == 0
+    assert "ran: extract score train eval report\n" in capsys.readouterr().out
+
+
+def test_stage_missing_an_input_reports_it_and_is_left_unstamped(finished_run, tmp_path,
+                                                                 capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    (run / "work" / "kidney_0002_mask.ovf").unlink()
+    assert main(["score", "--config", str(run / "config.json")]) == 3
+    assert "kidney_0002_mask.ovf" in capsys.readouterr().err.splitlines()[-1]
+    assert not (run / "work" / ".stamps" / "score.json").exists()
 
 
 def test_noop_pipeline_parses_the_manifest_once(finished_run, tmp_path, capsys,
@@ -525,8 +558,38 @@ def test_text_artifacts_never_fall_back_to_the_locale_encoding(tmp_path):
 def test_subcommands_are_the_stage_table_plus_three():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == [*(s.name for s in pipeline.STAGES),
-                                 "ablate", "explain", "pipeline"]
+    commands = pipeline.COMMANDS
+    assert commands[:len(pipeline.STAGES)] == pipeline.STAGES
+    assert [c.name for c in commands[len(pipeline.STAGES):]] == ["ablate", "explain"]
+    assert list(sub.choices) == [*(c.name for c in commands), "pipeline"]
+    # explain's own flags are the table's, keyword for keyword
+    explain = commands[-1]
+    assert [name for name, _ in explain.options] == ["kind", "limit"]
+    flags = {a.dest: a for a in sub.choices["explain"]._actions}
+    for name, kwargs in explain.options:
+        assert {key: getattr(flags[name], key) for key in kwargs} == kwargs
+
+
+def test_explain_and_ablate_stamp_their_options_and_pipeline_skips_them(finished_run,
+                                                                        tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    config = str(run / "config.json")
+    assert main(["ablate", "--config", config]) == 0
+    assert main(["explain", "--config", config, "--limit", "4"]) == 0
+    assert capsys.readouterr().out == ""
+    stamps = run / "work" / ".stamps"
+    explain = json.loads((stamps / "explain.json").read_text(encoding="utf-8"))
+    assert explain["options"] == {"kind": "deep", "limit": 4}
+    assert sorted(explain["reads"]) == ["features_deep.csv", "manifest.json",
+                                        "rf_deep.model.json"]
+    ablate = json.loads((stamps / "ablate.json").read_text(encoding="utf-8"))
+    assert (ablate["options"], sorted(ablate["reads"])) == \
+        ({}, ["features_deep.csv", "manifest.json"])
+
+    assert main(["pipeline", "--config", config]) == 0
+    assert capsys.readouterr().out == \
+        "skipped (up to date): gen encode extract score train eval report\n"
 
 
 def test_config_error_exit_code(tmp_path):

@@ -147,10 +147,10 @@ READERS = {
 }
 
 
-def set_field(lines, field, value):
-    fields = lines[1].rstrip(b"\n").split(b",")
+def set_field(lines, field, value, line=2):
+    fields = lines[line - 1].rstrip(b"\n").split(b",")
     fields[field] = value
-    return [lines[0], b",".join(fields) + b"\n", *lines[2:]]
+    return [*lines[:line - 1], b",".join(fields) + b"\n", *lines[line:]]
 
 
 # (edit of the file's lines, the line the error names or None); a nan in a
@@ -163,7 +163,10 @@ FAULTS = {
     "repeated-key": (lambda lines: lines + [lines[1]], "last"),
     "non-number": (lambda lines: set_field(lines, 3, b"abc"), 2),
     "nan": (lambda lines: set_field(lines, 3, b"nan"), 2),
-    "not-utf8": (lambda lines: set_field(lines, 1, b"\xff"), None),
+    "not-utf8": (lambda lines: set_field(lines, 1, b"\xff"), 2),
+    # past the first 8 KB, which a text-mode reader decodes as one chunk
+    "not-utf8-past-8k": (lambda lines: set_field(set_field(lines, 3, b"0." + b"0" * 9000),
+                                                 1, b"\xff", line=3), 3),
     # past csv's default field size limit of 131,072 characters
     "huge-field": (lambda lines: set_field(lines, 3, b"1" * 200_000), 2),
 }
