@@ -451,6 +451,6 @@ def load_model(path) -> Forest:
 
         return Forest(trees=trees(), n_features=n_features, feature_names=tuple(names),
                       seed=doc["seed"], params=params)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"model {path} is malformed: "
                         f"{type(exc).__name__}: {exc}") from exc

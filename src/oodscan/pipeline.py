@@ -84,7 +84,7 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
 
 def _labelled_table(cfg: RunConfig, manifest: CohortManifest, kind: str) -> FeatureTable:
     """Read a feature table with a feature column and rows for exactly the
-    manifest's scans, each row's cohort_label the manifest's."""
+    manifest's scans, each scan's cohort_label the manifest's."""
     path = _paths(cfg)[kind]
     table = read_feature_table(path, kind)
     if not table.names:
@@ -170,21 +170,10 @@ def stage_extract(cfg: RunConfig) -> None:
         deep_rows.append(deep_feature_vector(pyramid, mask, crops))
         radiomics_rows.append(radiomics_lite(volume, mask))
 
-    def table(kind, names, per_scan, values) -> FeatureTable:
-        return FeatureTable(
-            kind=kind,
-            names=names,
-            scan_ids=tuple(r.scan_id for r in records for _ in range(per_scan)),
-            labels=tuple(r.cohort_label for r in records for _ in range(per_scan)),
-            crop_indices=tuple(range(per_scan)) * len(records),
-            values=values,
-        )
-
-    paths = _paths(cfg)
-    write_feature_table(table("deep", deep_names, cfg.crops.count,
-                              np.concatenate(deep_rows)), paths["deep"])
-    write_feature_table(table("radiomics", RADIOMICS_NAMES, 1,
-                              np.stack(radiomics_rows)), paths["radiomics"])
+    ids, labels = zip(*((r.scan_id, r.cohort_label) for r in records))
+    for kind, names, values in (("deep", deep_names, np.concatenate(deep_rows)),
+                                ("radiomics", RADIOMICS_NAMES, np.stack(radiomics_rows))):
+        write_feature_table(FeatureTable(kind, names, ids, labels, values), _paths(cfg)[kind])
 
 
 def stage_score(cfg: RunConfig) -> None:
@@ -207,7 +196,7 @@ def stage_train(cfg: RunConfig) -> None:
     tables = {kind: _labelled_table(cfg, manifest, kind) for kind in ("deep", "radiomics")}
     _check_max_features(cfg, {str(paths[kind]): len(t.names) for kind, t in tables.items()})
     for kind, table in tables.items():
-        y = [1 if lbl == "OOD" else 0 for lbl in table.labels]
+        y = np.repeat([lbl == "OOD" for lbl in table.labels], table.crops)
         forest = fit_forest(table.values, y, cfg.forest,
                             derive(cfg.protocol.base_seed, "train", kind),
                             feature_names=table.names)
@@ -271,9 +260,10 @@ def stage_explain(cfg: RunConfig, kind: str = "deep", limit: int | None = None) 
         raise DataError(f"model {model_path} was fit on other columns than {paths[kind]}")
     with csv_writer(paths[f"shap_{kind}"]) as writer:
         writer.writerow(["scan_id", "crop_index", "base_value", "prediction", *table.names])
-        for sid, crop, row in zip(table.scan_ids[:limit], table.crop_indices, table.values):
+        for i, row in enumerate(table.values[:limit]):
             exp = tree_shap(forest, row)
-            writer.writerow([sid, crop, repr(float(exp.base_value)), repr(float(exp.prediction)),
+            writer.writerow([table.scan_ids[i // table.crops], i % table.crops,
+                             repr(float(exp.base_value)), repr(float(exp.prediction)),
                              *(repr(float(v)) for v in exp.contributions)])
 
 

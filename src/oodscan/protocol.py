@@ -5,7 +5,9 @@ patient-level splits: per seed, each cohort's scan list is shuffled with a
 seed derived from base_seed XOR the seed index, the first
 max(1, floor(train_frac * n)) scans train (all crops of a scan stay on one
 side), one forest is fit on the pooled ID+OOD training sides, and metrics
-are computed per OOD cohort against the shared ID test pool. Training-free
+are computed per OOD cohort against the shared ID test pool. By the
+``FeatureTable`` layout, scan i owns rows i*k..i*k+k-1, and its P(OOD) is the
+mean over those k crops. Training-free
 confidence baselines need no auxiliary data, so their metrics are computed
 once on the full cohorts and repeated across seeds (std 0).
 
@@ -24,6 +26,7 @@ from .forest import RFParams, fit_forest, predict_proba_batch
 from .manifest import CohortManifest
 from .metrics import auroc, fpr_at_tpr
 from .rng import SplitMix64, derive
+from .scores import METHODS as SCORE_METHODS
 from .selection import rfe
 from .tables import FeatureTable
 
@@ -36,7 +39,6 @@ DISPLAY_NAMES = {
     "rf_radiomics": "RF-Radiomics",
     "rf_deep": "RF-Deep",
 }
-BASELINE_METHODS = ("maxsoftmax", "maxlogit", "energy", "entropy")
 RF_METHODS = ("rf_radiomics", "rf_deep")
 
 
@@ -88,25 +90,6 @@ def split_cohort(scan_ids: list[str], train_frac: float, seed: int) -> _Split:
     return _Split(train=ids[:n_train], test=ids[n_train:])
 
 
-def _scan_matrix(table: FeatureTable, scan_ids: list[str],
-                 row_index: dict[str, list[int]]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stack rows of the listed scans; y = 1 for rows of OOD scans."""
-    rows, labels, owners = [], [], []
-    for sid in scan_ids:
-        for i in row_index[sid]:
-            rows.append(i)
-            labels.append(1 if table.labels[i] == "OOD" else 0)
-            owners.append(sid)
-    return table.values[rows], np.array(labels, dtype=np.int64), owners
-
-
-def _row_index(table: FeatureTable) -> dict[str, list[int]]:
-    idx: dict[str, list[int]] = {}
-    for i, sid in enumerate(table.scan_ids):
-        idx.setdefault(sid, []).append(i)
-    return idx
-
-
 def fitted_width(n_columns: int, rfe_target: int | None) -> int:
     """Columns a forest is fitted on: RFE leaves ``rfe_target`` of a wider table."""
     return n_columns if rfe_target is None else min(rfe_target, n_columns)
@@ -118,29 +101,26 @@ def _rf_seed_scores(table: FeatureTable, splits: dict[str, _Split], *,
                     rfe_seed: int) -> dict[str, float]:
     """Train one forest on all cohorts' train sides, return per-test-scan
     P(OOD), with classifier output averaged over each scan's crops."""
-    row_index = _row_index(table)
+    k = table.crops
+    position = {sid: i for i, sid in enumerate(table.scan_ids)}
+
+    def rows(scan_ids: list[str]) -> np.ndarray:  # scan i owns rows i*k..i*k+k-1
+        return (np.array([position[sid] for sid in scan_ids])[:, None] * k + np.arange(k)).ravel()
+
     train_ids = [sid for split in splits.values() for sid in split.train]
     test_ids = [sid for split in splits.values() for sid in split.test]
-    X_train, y_train, _ = _scan_matrix(table, train_ids, row_index)
+    X_train = table.values[rows(train_ids)]
+    y_train = np.repeat([table.labels[position[sid]] == "OOD" for sid in train_ids], k)
 
-    columns = None
-    if (width := fitted_width(X_train.shape[1], rfe_target)) < X_train.shape[1]:
-        step = rfe_step if rfe_step else max(1, X_train.shape[1] // 10)
+    columns = np.arange(X_train.shape[1])
+    if (width := fitted_width(len(columns), rfe_target)) < len(columns):
+        step = rfe_step if rfe_step else max(1, len(columns) // 10)
         columns = rfe(X_train, y_train, params, width, step, rfe_seed)
-        X_train = X_train[:, columns]
-
-    forest = fit_forest(X_train, y_train, params, forest_seed,
-                        feature_names=tuple(table.names[i] for i in columns)
-                        if columns is not None else table.names)
-
-    X_test, _, owners = _scan_matrix(table, test_ids, row_index)
-    if columns is not None:
-        X_test = X_test[:, columns]
-    p_ood = predict_proba_batch(forest, X_test)[:, 1]
-    scores: dict[str, list[float]] = {}
-    for sid, p in zip(owners, p_ood):
-        scores.setdefault(sid, []).append(float(p))
-    return {sid: float(np.mean(vals)) for sid, vals in scores.items()}
+    forest = fit_forest(X_train[:, columns], y_train, params, forest_seed,
+                        feature_names=tuple(table.names[i] for i in columns))
+    # one call over every test row: row i * k + c is crop c of test scan i
+    p_ood = predict_proba_batch(forest, table.values[rows(test_ids)][:, columns])[:, 1]
+    return dict(zip(test_ids, p_ood.reshape(len(test_ids), k).mean(axis=1).tolist()))
 
 
 def _metrics_pct(labels, scores) -> tuple[float, float]:
@@ -173,7 +153,7 @@ def repeated_split_eval(
     for method in methods:
         if method in RF_METHODS and tables[method] is None:
             raise DataError(f"method {method} requires its feature table")
-        if method in BASELINE_METHODS:
+        if method in SCORE_METHODS:
             if baseline_scores is None or method not in baseline_scores:
                 raise DataError(f"method {method} requires baseline scores")
 
@@ -181,7 +161,7 @@ def repeated_split_eval(
 
     # Training-free baselines: one pass over the full cohorts.
     for method in methods:
-        if method not in BASELINE_METHODS:
+        if method not in SCORE_METHODS:
             continue
         per_scan = baseline_scores[method]
         for cohort in ood_cohorts:

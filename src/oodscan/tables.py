@@ -49,19 +49,27 @@ def finite_float(text: str) -> float:
 
 @dataclass(frozen=True)
 class FeatureTable:
+    """Scan after scan, crops ``0..k-1`` of each, one ``k`` (``crops``) for the
+    table: row ``i * k + c`` of ``values`` is crop ``c`` of scan ``i``."""
     kind: str
     names: tuple[str, ...]
-    # one row per (scan, crop); radiomics rows use crop_index 0
-    scan_ids: tuple[str, ...]
-    labels: tuple[str, ...]
-    crop_indices: tuple[int, ...]
-    values: np.ndarray  # (rows, features), all finite
+    scan_ids: tuple[str, ...]  # one per scan
+    labels: tuple[str, ...]  # one per scan
+    values: np.ndarray  # (scans * k, features), all finite
 
     def __post_init__(self):
+        scans, rows = len(self.scan_ids), len(self.values)
+        if len(self.labels) != scans or not 0 < scans <= rows or rows % scans:
+            raise ValueError(f"{self.kind} table of {rows} rows, {scans} scans and "
+                             f"{len(self.labels)} labels")
         finite = np.isfinite(self.values).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite {self.kind} features in a row of scan "
-                             f"{self.scan_ids[int(finite.argmin())]!r}")
+                             f"{self.scan_ids[int(finite.argmin()) // self.crops]!r}")
+
+    @property
+    def crops(self) -> int:
+        return len(self.values) // len(self.scan_ids)
 
     def select_columns(self, keep: list[int]) -> "FeatureTable":
         return replace(self, names=tuple(self.names[i] for i in keep),
@@ -79,11 +87,11 @@ def write_feature_table(table: FeatureTable, path) -> None:
         head: list[str] = []
         ids = csv.writer(SimpleNamespace(write=head.append), lineterminator="\n")
         sep = "," if table.names else ""
+        k = table.crops
         # repr of a Python float is format_float of the numpy one; a row at a
         # time, as the whole table as Python floats took 6 MB on 1,440 x 129
-        for sid, label, crop, row in zip(table.scan_ids, table.labels,
-                                         table.crop_indices, table.values):
-            ids.writerow((sid, label, crop))
+        for i, row in enumerate(table.values):
+            ids.writerow((table.scan_ids[i // k], table.labels[i // k], i % k))
             fh.write(head.pop()[:-1] + sep + ",".join(map(repr, row.tolist())) + "\n")
 
 
@@ -126,9 +134,10 @@ def read_rows(path, what: str, header: list[str], parse, key) -> tuple[list[str]
 
 
 def read_feature_table(path, kind: str) -> FeatureTable:
-    """Every scan must have one row for each crop index 0..k-1, with one k for
-    the table. Cells go into one float64 buffer: per-row lists of Python
-    floats would take 5.5 times the matrix on a 1,440 x 129 table."""
+    """The ``FeatureTable`` layout, enforced: the first scan's rows set k, and
+    row i must be crop ``i % k`` of row ``i - i % k``'s scan, with its label.
+    Cells go into one float64 buffer: per-row lists of Python floats would
+    take 5.5 times the matrix on a 1,440 x 129 table."""
     values = array("d")
 
     def parse(fields):
@@ -138,20 +147,24 @@ def read_feature_table(path, kind: str) -> FeatureTable:
 
     header, rows = read_rows(path, "feature table", FEATURE_ID_COLUMNS, parse,
                              lambda row: f"crop {row[2]} of scan {row[0]!r}")
-    scan_crops: dict[str, tuple[int, set[int]]] = {}  # first line, crops
-    for line_num, (sid, _label, crop) in rows:
-        scan_crops.setdefault(sid, (line_num, set()))[1].add(crop)
-    k = len(next(iter(scan_crops.values()))[1])
-    for sid, (line_num, seen) in scan_crops.items():
-        if seen != set(range(k)):
-            raise DataError(f"{path}: line {line_num}: scan {sid!r} has crop indices "
-                            f"{sorted(seen)}, not 0..{k - 1} (the first scan has "
-                            f"{k} rows)")
-    scan_ids, labels, crops = zip(*(row for _, row in rows))
+    k = next((i for i, (_, row) in enumerate(rows) if row[0] != rows[0][1][0]), len(rows))
+    for i, (line_num, (sid, label, crop)) in enumerate(rows):
+        owner, owner_label, _ = rows[i - i % k][1]
+        if (sid, label, crop) != (owner, owner_label, i % k):
+            raise DataError(f"{path}: line {line_num}: crop {crop} of scan {sid!r}, labelled "
+                            f"{label!r}, where the layout puts crop {i % k} of scan "
+                            f"{owner!r}, labelled {owner_label!r}: scan after scan, each "
+                            f"with one label and crops 0..{k - 1} in order")
+    if len(rows) % k:
+        line_num, (sid, _, _) = rows[len(rows) - len(rows) % k]
+        raise DataError(f"{path}: line {line_num}: scan {sid!r} has {len(rows) % k} "
+                        f"rows, the first scan {k}")
     names = tuple(header[3:])
     try:
-        return FeatureTable(kind=kind, names=names, scan_ids=scan_ids, labels=labels,
-                            crop_indices=crops, values=np.frombuffer(values, dtype=np.float64)
+        return FeatureTable(kind=kind, names=names,
+                            scan_ids=tuple(row[0] for _, row in rows[::k]),
+                            labels=tuple(row[1] for _, row in rows[::k]),
+                            values=np.frombuffer(values, dtype=np.float64)
                             .reshape(len(rows), len(names)))
     except ValueError as exc:  # a cell that is not finite
         raise DataError(f"{path}: cannot read feature table: {exc}") from exc

@@ -206,6 +206,15 @@ def _raw_byte(offset: int | None, byte: int):
     return edit
 
 
+def _nest_first_tree(depth: int):
+    """Put a tree whose left spine is ``depth`` splits deep first in the model;
+    built as text, since json.dumps recurses as deep as the document."""
+    leaf = '{"leaf": [1.0, 1.0], "cover": 2.0}'
+    tree = '{"feature": 0, "threshold": 0.5, "cover": 2.0, "left": ' * depth + leaf \
+        + f', "right": {leaf}}}' * depth
+    return lambda text: text.replace('"trees": [', f'"trees": [{tree}, ', 1)
+
+
 def _edit_manifest(edit):
     def corrupt(text: str) -> str:
         doc = json.loads(text)
@@ -252,6 +261,10 @@ def _edit_manifest(edit):
                  id="explain-labels-off-manifest"),
     pytest.param("explain", "rf_deep.model.json", _raw_byte(100, 0xBA), id="model-not-utf8"),
     pytest.param("train", "manifest.json", _raw_byte(None, 0xFF), id="manifest-not-utf8"),
+    pytest.param("score", "manifest.json", lambda text: "[" * 50_000 + "]" * 50_000,
+                 id="manifest-nested-too-deep"),
+    pytest.param("explain", "rf_deep.model.json", _nest_first_tree(990),
+                 id="model-nested-too-deep"),
     pytest.param("encode", "manifest.json", _edit_manifest(lambda doc, rec: doc.update(records=3)),
                  id="manifest-records-not-a-list"),
     pytest.param("encode", "manifest.json",
@@ -612,6 +625,7 @@ def test_config_error_exit_code(tmp_path):
     ("train", {"forest": {"n_trees": 2.5}}),
     ("eval", {"protocol": {"n_seeds": 1.5}}),
     pytest.param("gen", _raw_byte(17, 0xFF), id="gen-not-utf8"),
+    pytest.param("gen", lambda text: "[" * 100_000, id="gen-nested-too-deep"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, overrides):
     """``overrides`` are config values, or an edit of the config's text."""

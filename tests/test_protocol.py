@@ -31,25 +31,21 @@ def fake_manifest(n_id=10, n_ood=10):
 
 
 def feature_tables(manifest, crops=2, d=4, gap=3.0, seed=0):
-    """Separable deep (per-crop) and radiomics (per-scan) tables."""
+    """Separable deep (``crops`` rows a scan) and radiomics (one row a scan) tables."""
     rng = SplitMix64(seed)
     deep_rows, rad_rows = [], []
     for rec in manifest.records:
         shift = gap if rec.cohort_label == "OOD" else 0.0
-        for c in range(crops):
-            deep_rows.append((rec.scan_id, rec.cohort_label, c,
-                              rng.normal_block(d) + shift))
-        rad_rows.append((rec.scan_id, rec.cohort_label, 0,
-                         rng.normal_block(d) + shift))
+        deep_rows += [rng.normal_block(d) + shift for _ in range(crops)]
+        rad_rows.append(rng.normal_block(d) + shift)
 
     def table(kind, rows):
         return FeatureTable(
             kind=kind,
             names=tuple(f"{kind[0]}{j}" for j in range(d)),
-            scan_ids=tuple(r[0] for r in rows),
-            labels=tuple(r[1] for r in rows),
-            crop_indices=tuple(r[2] for r in rows),
-            values=np.stack([r[3] for r in rows]),
+            scan_ids=tuple(r.scan_id for r in manifest.records),
+            labels=tuple(r.cohort_label for r in manifest.records),
+            values=np.stack(rows),
         )
 
     return table("deep", deep_rows), table("radiomics", rad_rows)
@@ -145,8 +141,8 @@ def test_missing_feature_rows_detected(tmp_path):
     deep, rad = feature_tables(manifest)
     trimmed = FeatureTable(
         kind="deep", names=deep.names,
-        scan_ids=deep.scan_ids[4:], labels=deep.labels[4:],
-        crop_indices=deep.crop_indices[4:], values=deep.values[4:],
+        scan_ids=deep.scan_ids[2:], labels=deep.labels[2:],
+        values=deep.values[2 * deep.crops:],
     )
     cfg = RunConfig(work_dir=tmp_path, manifest=tmp_path / "manifest.json")
     write_feature_table(trimmed, tmp_path / "features_deep.csv")

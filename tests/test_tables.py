@@ -13,12 +13,13 @@ from oodscan.tables import (FeatureTable, read_feature_table, read_scores_csv,
                             write_feature_table, write_scores_csv)
 
 
-def feature_table(values: np.ndarray) -> FeatureTable:
-    rows, cols = values.shape
+def feature_table(values: np.ndarray, k: int = 8) -> FeatureTable:
+    """The rows of ``values`` as scans of ``k`` crops each."""
+    scans, cols = len(values) // k, values.shape[1]
     return FeatureTable(kind="deep", names=("ünï", *(f"c{j}" for j in range(1, cols)))[:cols],
-                        scan_ids=tuple(f"s{i // 8:04d}" for i in range(rows)),
-                        labels=tuple("OOD" if i % 3 else "ID" for i in range(rows)),
-                        crop_indices=tuple(i % 8 for i in range(rows)), values=values)
+                        scan_ids=tuple(f"s{i:04d}" for i in range(scans)),
+                        labels=tuple("OOD" if i % 3 else "ID" for i in range(scans)),
+                        values=values)
 
 
 # the extremes of float64 and the points where repr switches notation
@@ -27,24 +28,26 @@ EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157
 
 
 @st.composite
-def matrices(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+def matrices(draw, k):
+    rows, cols = draw(st.integers(1, 3)) * k, draw(st.integers(0, 5))
     cell = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
     cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
     return np.array(cells, dtype=np.float64).reshape(rows, cols)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(matrices())
-def test_read_gives_back_the_written_bits(tmp_path, values):
-    table = feature_table(values)
-    path = tmp_path / "features.csv"
-    write_feature_table(table, path)
-    back = read_feature_table(path, "deep")
-    assert back.values.dtype == np.float64 and back.values.shape == values.shape
-    assert back.values.tobytes() == values.tobytes()
-    assert (back.names, back.scan_ids, back.labels, back.crop_indices) == \
-        (table.names, table.scan_ids, table.labels, table.crop_indices)
+@given(st.data())
+def test_read_gives_back_the_written_bits(tmp_path, data):
+    for k in (1, 3, 8):
+        values = data.draw(matrices(k))
+        table = feature_table(values, k)
+        path = tmp_path / "features.csv"
+        write_feature_table(table, path)
+        back = read_feature_table(path, "deep")
+        assert back.values.dtype == np.float64 and back.values.shape == values.shape
+        assert back.values.tobytes() == values.tobytes()
+        assert (back.names, back.scan_ids, back.labels, back.crops) == \
+            (table.names, table.scan_ids, table.labels, k)
 
 
 def csv_writer_bytes(table: FeatureTable) -> bytes:
@@ -52,9 +55,10 @@ def csv_writer_bytes(table: FeatureTable) -> bytes:
     out = io.StringIO(newline="")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["scan_id", "cohort_label", "crop_index", *table.names])
-    for sid, label, crop, row in zip(table.scan_ids, table.labels, table.crop_indices,
-                                     table.values):
-        writer.writerow([sid, label, crop, *map(repr, row.tolist())])
+    k = table.crops
+    for i, row in enumerate(table.values):
+        writer.writerow([table.scan_ids[i // k], table.labels[i // k], i % k,
+                         *map(repr, row.tolist())])
     return out.getvalue().encode("utf-8")
 
 
@@ -63,8 +67,7 @@ def test_rows_are_the_bytes_of_csv_writer_for_ids_that_need_quoting(tmp_path, co
     ids = ("plain", "a,b", 'say "hi"', "two\nlines", " ", "ünï")
     values = np.random.default_rng(cols).normal(size=(len(ids), cols)) * 1e5
     table = FeatureTable(kind="deep", names=tuple(f"n,{j}" for j in range(cols)),
-                         scan_ids=ids, labels=tuple(reversed(ids)),
-                         crop_indices=(0,) * len(ids), values=values)
+                         scan_ids=ids, labels=tuple(reversed(ids)), values=values)
     path = tmp_path / "features.csv"
     write_feature_table(table, path)
     assert path.read_bytes() == csv_writer_bytes(table)
@@ -79,34 +82,48 @@ def rewrite_lines(path, edit):
     path.write_text("".join(edit(lines)), encoding="utf-8")
 
 
+# the table's lines: the header, then scan s0000 (ID) on lines 2-9 and scan
+# s0001 (OOD) on lines 10-17, crops 0..7 in order
 @pytest.mark.parametrize("edit, line, what", [
-    pytest.param(lambda lines: lines + [lines[3]], 18, r"repeats crop 2 of scan 's0000'",
-                 id="repeated-row"),
-    pytest.param(lambda lines: lines[:-1], 10, r"scan 's0001' has crop indices \[0, 1, 2, 3, "
-                 r"4, 5, 6\], not 0..7", id="scan-short-a-crop"),
+    pytest.param(lambda lines: lines + [lines[3]], 18,
+                 "cannot read feature table: repeats crop 2 of scan 's0000'", id="repeated-row"),
+    pytest.param(lambda lines: lines[:-1], 10, "scan 's0001' has 7 rows, the first scan 8",
+                 id="scan-short-a-crop"),
     pytest.param(lambda lines: lines[:9] + [lines[9].replace(",0,", ",8,", 1)] + lines[10:],
-                 10, r"scan 's0001' has crop indices \[1, 2, 3, 4, 5, 6, 7, 8\]",
-                 id="crop-index-out-of-range"),
+                 10, "crop 8 of scan 's0001', labelled 'OOD', where the layout puts crop 0 "
+                 "of scan 's0001', labelled 'OOD'", id="crop-index-out-of-range"),
+    pytest.param(lambda lines: lines[:1] + [ln for pair in zip(lines[1:9], lines[9:])
+                                            for ln in pair],
+                 4, "crop 1 of scan 's0000', labelled 'ID', where the layout puts crop 0 "
+                 "of scan 's0000', labelled 'ID': scan after scan, each with one label and "
+                 "crops 0..0 in order",
+                 id="scans-interleaved"),
+    pytest.param(lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:],
+                 11, "crop 2 of scan 's0001', labelled 'OOD', where the layout puts crop 1 "
+                 "of scan 's0001', labelled 'OOD'", id="crops-out-of-order"),
+    pytest.param(lambda lines: lines[:12] + [lines[12].replace(",OOD,", ",ID,", 1)]
+                 + lines[13:], 13, "crop 3 of scan 's0001', labelled 'ID', where the layout "
+                 "puts crop 3 of scan 's0001', labelled 'OOD'", id="two-labels-in-a-scan"),
 ])
 def test_rows_off_one_row_per_crop_are_a_data_error_naming_the_line(tmp_path, edit, line,
                                                                     what):
     path = tmp_path / "features.csv"
     write_feature_table(feature_table(np.ones((16, 2))), path)
     rewrite_lines(path, edit)
-    with pytest.raises(DataError, match=re.escape(f"{path}: line {line}") + ".*" + what):
+    with pytest.raises(DataError, match=re.escape(f"{path}: line {line}: {what}")):
         read_feature_table(path, "deep")
 
 
 def test_text_is_utf8(tmp_path):
     path = tmp_path / "features.csv"
-    write_feature_table(feature_table(np.ones((2, 2))), path)
+    write_feature_table(feature_table(np.ones((2, 2)), k=1), path)
     assert path.read_bytes().startswith("scan_id,cohort_label,crop_index,ünï,".encode())
     assert read_feature_table(path, "deep").names == ("ünï", "c1")
 
 
 def test_non_numeric_cell_is_a_data_error_naming_the_file(tmp_path):
     path = tmp_path / "features.csv"
-    write_feature_table(feature_table(np.ones((3, 2))), path)
+    write_feature_table(feature_table(np.ones((3, 2)), k=3), path)
     text = path.read_text(encoding="utf-8").splitlines(keepends=True)
     text[2] = text[2].replace(",1.0\n", ",abc\n")
     path.write_text("".join(text), encoding="utf-8")
