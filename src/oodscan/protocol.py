@@ -112,14 +112,13 @@ def _rf_seed_scores(table: FeatureTable, splits: dict[str, _Split], *,
     X_train = table.values[rows(train_ids)]
     y_train = np.repeat([table.labels[position[sid]] == "OOD" for sid in train_ids], k)
 
-    columns = np.arange(X_train.shape[1])
-    if (width := fitted_width(len(columns), rfe_target)) < len(columns):
-        step = rfe_step if rfe_step else max(1, len(columns) // 10)
-        columns = rfe(X_train, y_train, params, width, step, rfe_seed)
-    forest = fit_forest(X_train[:, columns], y_train, params, forest_seed,
-                        feature_names=tuple(table.names[i] for i in columns))
+    if (width := fitted_width(X_train.shape[1], rfe_target)) < X_train.shape[1]:
+        step = rfe_step if rfe_step else max(1, X_train.shape[1] // 10)
+        table = table.select_columns(rfe(X_train, y_train, params, width, step, rfe_seed))
+        X_train = table.values[rows(train_ids)]
+    forest = fit_forest(X_train, y_train, params, forest_seed, feature_names=table.names)
     # one call over every test row: row i * k + c is crop c of test scan i
-    p_ood = predict_proba_batch(forest, table.values[rows(test_ids)][:, columns])[:, 1]
+    p_ood = predict_proba_batch(forest, table.values[rows(test_ids)])[:, 1]
     return dict(zip(test_ids, p_ood.reshape(len(test_ids), k).mean(axis=1).tolist()))
 
 

@@ -114,6 +114,14 @@ def test_rows_off_one_row_per_crop_are_a_data_error_naming_the_line(tmp_path, ed
         read_feature_table(path, "deep")
 
 
+@pytest.mark.parametrize("scans, labels, rows", [(2, 2, 3), (2, 1, 4), (3, 3, 0)])
+def test_rows_that_do_not_split_into_the_scans_are_refused(scans, labels, rows):
+    with pytest.raises(ValueError, match=f"deep table of {rows} rows, {scans} scans and "
+                                         f"{labels} labels"):
+        FeatureTable(kind="deep", names=("c0",), scan_ids=tuple(f"s{i}" for i in range(scans)),
+                     labels=("ID",) * labels, values=np.ones((rows, 1)))
+
+
 def test_text_is_utf8(tmp_path):
     path = tmp_path / "features.csv"
     write_feature_table(feature_table(np.ones((2, 2)), k=1), path)
