@@ -7,9 +7,9 @@ max(1, floor(train_frac * n)) scans train (all crops of a scan stay on one
 side), one forest is fit on the pooled ID+OOD training sides, and metrics
 are computed per OOD cohort against the shared ID test pool. By the
 ``FeatureTable`` layout, scan i owns rows i*k..i*k+k-1, and its P(OOD) is the
-mean over those k crops. Training-free
-confidence baselines need no auxiliary data, so their metrics are computed
-once on the full cohorts and repeated across seeds (std 0).
+mean over those k crops. Training-free confidence baselines need no
+auxiliary data, so their metrics are computed once on the full cohorts and
+repeated across seeds (std 0).
 
 Reported values are percentages; summaries use population mean/std.
 """
