@@ -225,8 +225,8 @@ def stage_eval(cfg: RunConfig) -> None:
 def stage_report(cfg: RunConfig) -> None:
     paths = _paths(cfg)
     report = read_per_seed_csv(paths["per_seed"])
-    if report.protocol["n_seeds"] != cfg.protocol.n_seeds:
-        raise DataError(f"{paths['per_seed']}: {report.protocol['n_seeds']} seeds, "
+    if (n_seeds := report.values.shape[-1]) != cfg.protocol.n_seeds:
+        raise DataError(f"{paths['per_seed']}: {n_seeds} seeds, "
                         f"protocol.n_seeds is {cfg.protocol.n_seeds}")
     write_summary_csv(report, paths["summary_csv"])
     write_summary_text(report, paths["summary_txt"])
@@ -354,15 +354,19 @@ def _stamp(cfg: RunConfig, stage: Stage, options: dict, reads: dict) -> dict:
     return {"config_hash": cfg.config_hash(stage.config), "options": options, "reads": reads}
 
 
-def _stamp_path(cfg: RunConfig, stage: Stage) -> Path:
-    return cfg.work_dir / ".stamps" / f"{stage.name}.json"
+def _stamp_path(cfg: RunConfig, stage: Stage, options: dict) -> Path:
+    """``<command>.json``, with ``.<value>`` before ``.json`` for each option
+    that names a file (fills a ``{name}`` in ``reads`` or ``writes``)."""
+    names = "".join(f".{options[name]}" for name, _ in stage.options
+                    if any(f"{{{name}}}" in n for n in stage.reads + stage.writes))
+    return cfg.work_dir / ".stamps" / f"{stage.name}{names}.json"
 
 
 def stamp_is_fresh(cfg: RunConfig, stage: Stage,
                    manifest: CohortManifest | None = None) -> bool:
     """Whether a stage of ``STAGES``, which have no options, may be skipped."""
     try:
-        doc = json.loads(_stamp_path(cfg, stage).read_text(encoding="utf-8"))
+        doc = json.loads(_stamp_path(cfg, stage, {}).read_text(encoding="utf-8"))
         reads = _signatures(cfg, _files(cfg, stage.reads, {}, manifest))
         return doc == _stamp(cfg, stage, {}, reads) and \
             all(p.exists() for p in _files(cfg, stage.writes, {}, manifest))
@@ -375,7 +379,7 @@ def run_stage(cfg: RunConfig, stage: Stage, **options) -> None:
     stamp what it read as it read it: the inputs it rewrites (encode's
     manifest) are signed after the run, the others before. A command that
     fails, or that misses an input before it runs, is left unstamped."""
-    stamp_path = _stamp_path(cfg, stage)
+    stamp_path = _stamp_path(cfg, stage, options)
     before = tuple(n for n in stage.reads if n not in stage.writes)
     after = tuple(n for n in stage.reads if n in stage.writes)
     try:

@@ -9,14 +9,14 @@ are computed per OOD cohort against the shared ID test pool. By the
 ``FeatureTable`` layout, scan i owns rows i*k..i*k+k-1, and its P(OOD) is the
 mean over those k crops. Training-free confidence baselines need no
 auxiliary data, so their metrics are computed once on the full cohorts and
-repeated across seeds (std 0).
+written to every seed (std 0).
 
 Reported values are percentages; summaries use population mean/std.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .scores import METHODS as SCORE_METHODS
 from .selection import rfe
 from .tables import FeatureTable
 
-METHOD_ORDER = ("maxsoftmax", "maxlogit", "energy", "entropy", "rf_radiomics", "rf_deep")
 DISPLAY_NAMES = {
     "maxsoftmax": "MaxSoftmax",
     "maxlogit": "MaxLogits",
@@ -39,46 +38,23 @@ DISPLAY_NAMES = {
     "rf_radiomics": "RF-Radiomics",
     "rf_deep": "RF-Deep",
 }
+METHOD_ORDER = tuple(DISPLAY_NAMES)
 RF_METHODS = ("rf_radiomics", "rf_deep")
 
 
 @dataclass(frozen=True)
-class MethodCohortResult:
-    per_seed: tuple[tuple[float, float], ...]  # (auroc_pct, fpr95_pct) per seed
-
-    @property
-    def auroc_mean(self) -> float:
-        return float(np.mean([a for a, _ in self.per_seed]))
-
-    @property
-    def auroc_std(self) -> float:
-        return float(np.std([a for a, _ in self.per_seed]))
-
-    @property
-    def fpr95_mean(self) -> float:
-        return float(np.mean([f for _, f in self.per_seed]))
-
-    @property
-    def fpr95_std(self) -> float:
-        return float(np.std([f for _, f in self.per_seed]))
-
-
-@dataclass(frozen=True)
 class EvalReport:
+    """``values[m, c, :, s]`` is the (AUROC, FPR95) percentage pair of
+    ``methods[m]`` on OOD cohort ``cohorts[c]`` at split seed ``s``. Seeds are
+    the last, contiguous axis, so a mean or std over ``axis=-1`` sums each
+    cell's seeds pairwise, bit for bit as ``np.mean``/``np.std`` of its list."""
     methods: tuple[str, ...]
     cohorts: tuple[str, ...]  # OOD cohort names, manifest order
-    results: dict = field(default_factory=dict)  # (method, cohort) -> MethodCohortResult
-    protocol: dict = field(default_factory=dict)
+    values: np.ndarray  # float64, (methods, cohorts, 2, n_seeds)
 
 
-@dataclass(frozen=True)
-class _Split:
-    train: list[str]
-    test: list[str]
-
-
-def split_cohort(scan_ids: list[str], train_frac: float, seed: int) -> _Split:
-    """Deterministic patient-level split; train = max(1, floor(frac * n))."""
+def split_cohort(scan_ids: list[str], train_frac: float, seed: int) -> tuple[list[str], list[str]]:
+    """Deterministic patient-level (train, test) split; train = max(1, floor(frac * n))."""
     if len(scan_ids) < 2:
         raise DataError(
             f"cohort with {len(scan_ids)} scan(s) cannot be split into "
@@ -87,7 +63,7 @@ def split_cohort(scan_ids: list[str], train_frac: float, seed: int) -> _Split:
     ids = list(scan_ids)
     SplitMix64(seed).shuffle(ids)
     n_train = max(1, int(train_frac * len(ids)))
-    return _Split(train=ids[:n_train], test=ids[n_train:])
+    return ids[:n_train], ids[n_train:]
 
 
 def fitted_width(n_columns: int, rfe_target: int | None) -> int:
@@ -95,7 +71,7 @@ def fitted_width(n_columns: int, rfe_target: int | None) -> int:
     return n_columns if rfe_target is None else min(rfe_target, n_columns)
 
 
-def _rf_seed_scores(table: FeatureTable, splits: dict[str, _Split], *,
+def _rf_seed_scores(table: FeatureTable, splits: dict[str, tuple[list[str], list[str]]], *,
                     params: RFParams, forest_seed: int,
                     rfe_target: int | None, rfe_step: int | None,
                     rfe_seed: int) -> dict[str, float]:
@@ -107,8 +83,8 @@ def _rf_seed_scores(table: FeatureTable, splits: dict[str, _Split], *,
     def rows(scan_ids: list[str]) -> np.ndarray:  # scan i owns rows i*k..i*k+k-1
         return (np.array([position[sid] for sid in scan_ids])[:, None] * k + np.arange(k)).ravel()
 
-    train_ids = [sid for split in splits.values() for sid in split.train]
-    test_ids = [sid for split in splits.values() for sid in split.test]
+    train_ids = [sid for train, _ in splits.values() for sid in train]
+    test_ids = [sid for _, test in splits.values() for sid in test]
     X_train = table.values[rows(train_ids)]
     y_train = np.repeat([table.labels[position[sid]] == "OOD" for sid in train_ids], k)
 
@@ -156,57 +132,42 @@ def repeated_split_eval(
             if baseline_scores is None or method not in baseline_scores:
                 raise DataError(f"method {method} requires baseline scores")
 
-    results: dict = {}
+    ordered = tuple(m for m in METHOD_ORDER if m in methods)
+    values = np.empty((len(ordered), len(ood_cohorts), 2, n_seeds))
 
-    # Training-free baselines: one pass over the full cohorts.
-    for method in methods:
+    # Training-free baselines: one pass over the full cohorts, the same
+    # pair at every seed.
+    for m, method in enumerate(ordered):
         if method not in SCORE_METHODS:
             continue
         per_scan = baseline_scores[method]
-        for cohort in ood_cohorts:
-            sids = id_ids + cohort_ids[cohort]
-            vals = [per_scan[s] for s in sids]
+        for c, cohort in enumerate(ood_cohorts):
             labels = [0] * len(id_ids) + [1] * len(cohort_ids[cohort])
-            a, f = _metrics_pct(labels, vals)
-            results[(method, cohort)] = MethodCohortResult(
-                per_seed=tuple((a, f) for _ in range(n_seeds))
+            values[m, c, 0], values[m, c, 1] = _metrics_pct(
+                labels, [per_scan[sid] for sid in id_ids + cohort_ids[cohort]])
+
+    rf_methods = [(m, method) for m, method in enumerate(ordered) if method in RF_METHODS]
+    # All crops of a scan stay on one side: splits operate on scan ids,
+    # independently per cohort. The ID test pool is shared across the
+    # per-OOD-cohort metric computations within a seed.
+    for s in range(n_seeds if rf_methods else 0):
+        splits = {cohort: split_cohort(cohort_ids[cohort], train_frac,
+                                       derive(base_seed ^ s, "split", cohort))
+                  for cohort in id_cohorts + ood_cohorts}
+        id_test = [sid for c in id_cohorts for sid in splits[c][1]]
+        for m, method in rf_methods:
+            use_rfe = method == "rf_radiomics"
+            scan_scores = _rf_seed_scores(
+                tables[method], splits,
+                params=cfg.forest,
+                forest_seed=derive(base_seed, method, s),
+                rfe_target=cfg.rfe_target if use_rfe else None,
+                rfe_step=cfg.rfe_step,
+                rfe_seed=derive(base_seed, "rfe", method, s),
             )
-
-    rf_methods = [m for m in methods if m in RF_METHODS]
-    rf_per_seed = {(m, c): [] for m in rf_methods for c in ood_cohorts}
-    if rf_methods:
-        # All crops of a scan stay on one side: splits operate on scan ids,
-        # independently per cohort. The ID test pool is shared across the
-        # per-OOD-cohort metric computations within a seed.
-        for s in range(n_seeds):
-            splits = {
-                cohort: split_cohort(cohort_ids[cohort], train_frac,
-                                     derive(base_seed ^ s, "split", cohort))
-                for cohort in id_cohorts + ood_cohorts
-            }
-            id_test = [sid for c in id_cohorts for sid in splits[c].test]
-            for method in rf_methods:
-                use_rfe = method == "rf_radiomics"
-                scan_scores = _rf_seed_scores(
-                    tables[method], splits,
-                    params=cfg.forest,
-                    forest_seed=derive(base_seed, method, s),
-                    rfe_target=cfg.rfe_target if use_rfe else None,
-                    rfe_step=cfg.rfe_step,
-                    rfe_seed=derive(base_seed, "rfe", method, s),
-                )
-                for cohort in ood_cohorts:
-                    sids = id_test + splits[cohort].test
-                    labels = [0] * len(id_test) + [1] * len(splits[cohort].test)
-                    rf_per_seed[(method, cohort)].append(_metrics_pct(
-                        labels, [scan_scores[sid] for sid in sids]))
-    for key, per_seed in rf_per_seed.items():
-        results[key] = MethodCohortResult(per_seed=tuple(per_seed))
-
-    ordered = tuple(m for m in METHOD_ORDER if m in methods)
-    return EvalReport(
-        methods=ordered,
-        cohorts=tuple(ood_cohorts),
-        results=results,
-        protocol={"train_frac": train_frac, "n_seeds": n_seeds, "base_seed": base_seed},
-    )
+            for c, cohort in enumerate(ood_cohorts):
+                ood_test = splits[cohort][1]
+                labels = [0] * len(id_test) + [1] * len(ood_test)
+                values[m, c, :, s] = _metrics_pct(
+                    labels, [scan_scores[sid] for sid in id_test + ood_test])
+    return EvalReport(methods=ordered, cohorts=tuple(ood_cohorts), values=values)

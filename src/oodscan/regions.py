@@ -39,9 +39,6 @@ class CropBox:
         if any(o < 0 for o in self.origin):
             raise ValueError(f"crop origin must be non-negative, got {self.origin}")
 
-    def slices(self) -> tuple[slice, slice, slice]:
-        return tuple(slice(o, o + s) for o, s in zip(self.origin, self.size))
-
 
 def foreground_voxels(mask: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The z, y and x indices of the mask's set voxels in C order: those of

@@ -6,22 +6,28 @@ AUROC/FPR95 column pair per OOD cohort.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .atomic import write_text_atomic
 from .errors import DataError
-from .protocol import DISPLAY_NAMES, EvalReport, MethodCohortResult
+from .protocol import DISPLAY_NAMES, EvalReport
 from .tables import csv_writer, finite_float, format_float, read_rows
 
 PER_SEED_COLUMNS = ["seed", "method", "cohort", "auroc", "fpr95"]
 
 
+def seed_mean_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and std over the last axis, the seeds of an
+    ``EvalReport.values``: bit for bit those of each cell's list of seeds."""
+    return values.mean(axis=-1), values.std(axis=-1)
+
+
 def write_per_seed_csv(report: EvalReport, path) -> None:
     with csv_writer(path) as writer:
         writer.writerow(PER_SEED_COLUMNS)
-        n_seeds = report.protocol.get("n_seeds", 0)
-        for seed in range(n_seeds):
-            for method in report.methods:
-                for cohort in report.cohorts:
-                    a, f = report.results[(method, cohort)].per_seed[seed]
+        for seed in range(report.values.shape[-1]):
+            for method, cells in zip(report.methods, report.values[..., seed].tolist()):
+                for cohort, (a, f) in zip(report.cohorts, cells):
                     writer.writerow([seed, DISPLAY_NAMES[method], cohort,
                                      format_float(a), format_float(f)])
 
@@ -33,50 +39,48 @@ def read_per_seed_csv(path) -> EvalReport:
 
     def parse(fields):
         seed, method_disp, cohort, a, f = fields
-        method = by_display.get(method_disp, method_disp)
-        if method not in DISPLAY_NAMES:
+        if method_disp not in by_display:
             raise ValueError(f"unknown method {method_disp!r}")
         if int(seed) < 0:
             raise ValueError(f"negative seed {seed}")
-        return int(seed), method, cohort, finite_float(a), finite_float(f)
+        return int(seed), by_display[method_disp], cohort, finite_float(a), finite_float(f)
 
     rows = [row for _, row in read_rows(
         path, "per-seed table", PER_SEED_COLUMNS, parse,
         lambda row: f"seed {row[0]}, method {DISPLAY_NAMES[row[1]]}, cohort {row[2]!r}")[1]]
-    methods = list(dict.fromkeys(row[1] for row in rows))
-    cohorts = list(dict.fromkeys(row[2] for row in rows))
+    methods = {m: i for i, m in enumerate(dict.fromkeys(row[1] for row in rows))}
+    cohorts = {c: i for i, c in enumerate(dict.fromkeys(row[2] for row in rows))}
     # the rows are unique, so this many of them are every (seed, method, cohort)
     n_seeds = max(row[0] for row in rows) + 1
     if len(rows) != n_seeds * len(methods) * len(cohorts):
         raise DataError(f"{path}: {len(rows)} rows, not one for each of {n_seeds} "
                         f"seeds x {len(methods)} methods x {len(cohorts)} cohorts")
-    cells = {row[:3]: row[3:] for row in rows}
-    return EvalReport(methods=tuple(methods), cohorts=tuple(cohorts), results={
-        (m, c): MethodCohortResult(per_seed=tuple(cells[(s, m, c)] for s in range(n_seeds)))
-        for m in methods for c in cohorts}, protocol={"n_seeds": n_seeds})
+    values = np.empty((len(methods), len(cohorts), 2, n_seeds))
+    for seed, method, cohort, a, f in rows:
+        values[methods[method], cohorts[cohort], :, seed] = a, f
+    return EvalReport(methods=tuple(methods), cohorts=tuple(cohorts), values=values)
 
 
-def _write_metric_table(path, first_column: str, cohorts, rows) -> None:
-    """rows: (label, one result per cohort); mean/std columns per metric."""
+def _write_metric_table(path, first_column: str, cohorts, labels, values) -> None:
+    """One row per label over ``values`` (labels, cohorts, 2, n_seeds); mean
+    and std columns per metric."""
     header = [first_column]
     for cohort in cohorts:
         header += [f"{cohort}_auroc_mean", f"{cohort}_auroc_std",
                    f"{cohort}_fpr95_mean", f"{cohort}_fpr95_std"]
+    mean, std = seed_mean_std(values)
     with csv_writer(path) as writer:
         writer.writerow(header)
-        for label, results in rows:
+        for label, means, stds in zip(labels, mean.tolist(), std.tolist()):
             row = [label]
-            for r in results:
-                row += [f"{r.auroc_mean:.2f}", f"{r.auroc_std:.2f}",
-                        f"{r.fpr95_mean:.2f}", f"{r.fpr95_std:.2f}"]
+            for (a, f), (a_std, f_std) in zip(means, stds):
+                row += [f"{a:.2f}", f"{a_std:.2f}", f"{f:.2f}", f"{f_std:.2f}"]
             writer.writerow(row)
 
 
 def write_summary_csv(report: EvalReport, path) -> None:
-    _write_metric_table(path, "method", report.cohorts, [
-        (DISPLAY_NAMES[m], [report.results[(m, c)] for c in report.cohorts])
-        for m in report.methods
-    ])
+    _write_metric_table(path, "method", report.cohorts,
+                        [DISPLAY_NAMES[m] for m in report.methods], report.values)
 
 
 def render_summary_text(report: EvalReport) -> str:
@@ -92,12 +96,10 @@ def render_summary_text(report: EvalReport) -> str:
     lines.append(head)
     lines.append(sub)
     lines.append("-" * len(head))
-    for method in report.methods:
+    for method, means in zip(report.methods, seed_mean_std(report.values)[0].tolist()):
         line = DISPLAY_NAMES[method].ljust(name_w)
-        for cohort in report.cohorts:
-            r = report.results[(method, cohort)]
-            cell = f"{r.auroc_mean:6.2f}  {r.fpr95_mean:6.2f}"
-            line += " | " + cell.ljust(col_w)
+        for a, f in means:
+            line += " | " + f"{a:6.2f}  {f:6.2f}".ljust(col_w)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -109,7 +111,5 @@ def write_summary_text(report: EvalReport, path) -> None:
 def write_ablation_csv(stage_reports: dict[str, EvalReport], path) -> None:
     """One row per stage; column pairs per OOD cohort (rf_deep only)."""
     cohorts = next(iter(stage_reports.values())).cohorts
-    _write_metric_table(path, "stage", cohorts, [
-        (stage, [rep.results[("rf_deep", c)] for c in cohorts])
-        for stage, rep in stage_reports.items()
-    ])
+    _write_metric_table(path, "stage", cohorts, list(stage_reports), np.stack(
+        [rep.values[rep.methods.index("rf_deep")] for rep in stage_reports.values()]))

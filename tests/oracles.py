@@ -8,6 +8,7 @@ no longer builds, so the labels can be checked against a flood fill.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from collections import deque
@@ -41,6 +42,20 @@ def exhaustive_fpr_at_tpr(labels, scores, target=0.95) -> float:
         if tpr >= target and (best is None or fpr < best):
             best = fpr
     return best if best is not None else 1.0
+
+
+def per_seed_summary(path) -> dict:
+    """(method, cohort) -> (AUROC mean, AUROC std, FPR95 mean, FPR95 std) of
+    a per-seed CSV: ``np.mean`` and ``np.std`` of each cell's list of values
+    in seed order."""
+    cells = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for _, method, cohort, a, f in sorted(rows, key=lambda row: int(row[0])):
+        cells.setdefault((method, cohort), []).append((float(a), float(f)))
+    return {key: tuple(float(stat(list(metric))) for metric in zip(*pairs)
+                       for stat in (np.mean, np.std))
+            for key, pairs in cells.items()}
 
 
 def digital_ellipsoid_count(radii) -> int:

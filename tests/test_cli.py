@@ -234,6 +234,10 @@ def _edit_manifest(edit):
     pytest.param("report", "per_seed.csv", _edit_field(1, 3, "nan"), id="per-seed-nan"),
     pytest.param("report", "per_seed.csv", _edit_field(1, 1, "RF-Other"),
                  id="per-seed-unknown-method"),
+    # the writer writes display names only; renaming every row of one method
+    # keeps the rows unique, so only the name can be refused
+    pytest.param("report", "per_seed.csv", lambda text: text.replace(",RF-Deep,", ",rf_deep,"),
+                 id="per-seed-internal-method-name"),
     # seed 10**18 would ask the old reader for a list of 10**18 slots
     pytest.param("report", "per_seed.csv", lambda text: text.replace("\n1,", f"\n{10**18},"),
                  id="per-seed-huge-seed"),
@@ -294,7 +298,7 @@ def test_malformed_artifact_is_data_error_naming_file(finished_run, tmp_path, ca
     assert f"stage={command}" in err
     assert name in err
     assert err.splitlines()[-1].startswith(f"error stage={command} DataError: ")
-    assert not (run / "work" / ".stamps" / f"{command}.json").exists()
+    assert not list((run / "work" / ".stamps").glob(f"{command}.*"))
 
 
 def _edit_model(edit):
@@ -592,7 +596,7 @@ def test_explain_and_ablate_stamp_their_options_and_pipeline_skips_them(finished
     assert main(["explain", "--config", config, "--limit", "4"]) == 0
     assert capsys.readouterr().out == ""
     stamps = run / "work" / ".stamps"
-    explain = json.loads((stamps / "explain.json").read_text(encoding="utf-8"))
+    explain = json.loads((stamps / "explain.deep.json").read_text(encoding="utf-8"))
     assert explain["options"] == {"kind": "deep", "limit": 4}
     assert sorted(explain["reads"]) == ["features_deep.csv", "manifest.json",
                                         "rf_deep.model.json"]
@@ -603,6 +607,38 @@ def test_explain_and_ablate_stamp_their_options_and_pipeline_skips_them(finished
     assert main(["pipeline", "--config", config]) == 0
     assert capsys.readouterr().out == \
         "skipped (up to date): gen encode extract score train eval report\n"
+
+
+def test_each_explain_kind_keeps_its_own_stamp(finished_run, tmp_path):
+    """--kind names the files explain reads and writes, so it names the stamp:
+    explaining one kind leaves the other kind's stamp as it was."""
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    config = str(run / "config.json")
+    for kind in ("deep", "radiomics"):
+        assert main(["explain", "--config", config, "--kind", kind, "--limit", "2"]) == 0
+    stamps = run / "work" / ".stamps"
+    assert sorted(p.name for p in stamps.glob("explain*")) == \
+        ["explain.deep.json", "explain.radiomics.json"]
+    for kind in ("deep", "radiomics"):
+        stamp = json.loads((stamps / f"explain.{kind}.json").read_text(encoding="utf-8"))
+        assert stamp["options"] == {"kind": kind, "limit": 2}
+        assert sorted(stamp["reads"]) == [f"features_{kind}.csv", "manifest.json",
+                                          f"rf_{kind}.model.json"]
+
+
+def test_report_rewrites_the_summaries_eval_wrote_byte_for_byte(finished_run, tmp_path, capsys):
+    """eval computes the summaries from its metrics, report from per_seed.csv:
+    both must give the same bytes."""
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    config = str(run / "config.json")
+    assert main(["eval", "--config", config]) == 0
+    names = ("summary.csv", "summary.txt")
+    after_eval = [(run / "work" / name).read_bytes() for name in names]
+    assert main(["report", "--config", config]) == 0
+    assert capsys.readouterr().out == after_eval[1].decode("utf-8")
+    assert [(run / "work" / name).read_bytes() for name in names] == after_eval
 
 
 def test_config_error_exit_code(tmp_path):

@@ -12,6 +12,7 @@ from oodscan.errors import DataError
 from oodscan.forest import RFParams
 from oodscan.manifest import CohortManifest, ScanRecord
 from oodscan.protocol import repeated_split_eval, split_cohort
+from oodscan.report import seed_mean_std
 from oodscan.rng import SplitMix64, derive
 from oodscan.tables import FeatureTable, write_feature_table
 from test_cli import write_config
@@ -80,16 +81,16 @@ def run(manifest, n_seeds=3):
 
 
 def test_split_counts_forty_sixty():
-    split = split_cohort([f"s{i}" for i in range(10)], 0.4, seed=1)
-    assert len(split.train) == 4 and len(split.test) == 6
+    train, test = split_cohort([f"s{i}" for i in range(10)], 0.4, seed=1)
+    assert len(train) == 4 and len(test) == 6
 
 
 def test_split_partitions_scan_ids():
     ids = [f"s{i}" for i in range(13)]
     for s in range(50):
-        split = split_cohort(ids, 0.4, derive(99 ^ s, "split", "c"))
-        assert sorted(split.train + split.test) == sorted(ids)
-        assert not set(split.train) & set(split.test)
+        train, test = split_cohort(ids, 0.4, derive(99 ^ s, "split", "c"))
+        assert sorted(train + test) == sorted(ids)
+        assert not set(train) & set(test)
 
 
 def test_split_rejects_tiny_cohort():
@@ -104,25 +105,24 @@ def test_report_shape_and_determinism():
     assert a.methods == ("maxsoftmax", "maxlogit", "energy", "entropy",
                          "rf_radiomics", "rf_deep")
     assert a.cohorts == ("pe",)
-    for key, res in a.results.items():
-        assert len(res.per_seed) == 3
-        assert all(0.0 <= v <= 100.0 for pair in res.per_seed for v in pair)
-        assert res.per_seed == b.results[key].per_seed
+    assert a.values.shape == (6, 1, 2, 3) and a.values.dtype == np.float64
+    assert ((0.0 <= a.values) & (a.values <= 100.0)).all()
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_baselines_computed_once_with_zero_std():
     report = run(fake_manifest(), n_seeds=4)
-    res = report.results[("energy", "pe")]
-    assert len(set(res.per_seed)) == 1
-    assert res.auroc_std == 0.0 and res.fpr95_std == 0.0
+    cell = report.values[report.methods.index("energy"), 0]
+    assert (cell == cell[:, :1]).all()
+    assert seed_mean_std(cell)[1].tolist() == [0.0, 0.0]
 
 
 def test_separable_features_score_high():
     report = run(fake_manifest())
     for method in ("rf_deep", "rf_radiomics"):
-        res = report.results[(method, "pe")]
-        assert res.auroc_mean >= 95.0
-        assert res.fpr95_mean <= 20.0
+        auroc_mean, fpr95_mean = seed_mean_std(report.values[report.methods.index(method), 0])[0]
+        assert auroc_mean >= 95.0
+        assert fpr95_mean <= 20.0
 
 
 def test_rf_methods_vary_across_seeds_with_weak_features():
@@ -130,8 +130,9 @@ def test_rf_methods_vary_across_seeds_with_weak_features():
     deep, rad = feature_tables(manifest, gap=0.4, seed=9)
     report = repeated_split_eval(manifest, run_config(5, base_seed=7), ("rf_deep",),
                                  deep_table=deep)
-    res = report.results[("rf_deep", "pe")]
-    assert len(set(res.per_seed)) > 1  # different splits, different metrics
+    assert report.methods == ("rf_deep",)
+    per_seed = report.values[0, 0].T.tolist()
+    assert len(set(map(tuple, per_seed))) > 1  # different splits, different metrics
 
 
 def test_missing_feature_rows_detected(tmp_path):
